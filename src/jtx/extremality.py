@@ -20,7 +20,7 @@ from typing import Optional
 
 from .errors import DomainError, InternalError
 from .greedy import SupportTree, _support_s_values
-from .norm import IsolateNode, NormSolver, enumerate_norming, jt_norm_sq
+from .norm import NormSolver, enumerate_norming, jt_norm_sq
 from .tree import (
     Node,
     canonical_order,
@@ -70,9 +70,14 @@ def is_separated(
     stop_on_blocked abandons the scan at the first positive gap, leaving
     pair_gaps partial.
     """
-    ran = x.range()
+    return _separation_scan(NormSolver(x), all_pairs, stop_on_blocked)
+
+
+def _separation_scan(
+    solver: NormSolver, all_pairs: bool, stop_on_blocked: bool
+) -> SeparationReport:
+    ran = [Node(p) for p in solver.ran]
     pairs = comparable_pairs(ran) if all_pairs else parent_child_pairs(ran)
-    solver = NormSolver(x)
     gaps: dict[Pair, Fraction] = {}
     blocked: Optional[Pair] = None
     for u, v in pairs:
@@ -101,21 +106,25 @@ def perturbation_witness(x: TreeVector, u: Node, v: Node) -> tuple[TreeVector, F
     scale starts at 1 and halves until the exact perturbed norms match;
     the gap being positive guarantees every small enough eps works.
     """
+    return _perturbation(NormSolver(x), u, v)
+
+
+def _perturbation(solver: NormSolver, u: Node, v: Node) -> tuple[TreeVector, Fraction]:
     if v.parent() != u:
         raise DomainError(f"{v.path!r} is not a child of {u.path!r}")
-    solver = NormSolver(x)
     if solver.gap(u, v) == 0:
         raise DomainError(
             f"pair ({u.path!r}, {v.path!r}) is separable; no witness exists"
         )
+    x = solver.x
     base = solver.norm_sq()
     eps = Fraction(1)
     direction = TreeVector.unit(u) - TreeVector.unit(v)
     for _ in range(64):
         y = direction.scale(eps)
         if (
-            jt_norm_sq(x + y).norm_sq == base
-            and jt_norm_sq(x - y).norm_sq == base
+            NormSolver(x + y).norm_sq() == base
+            and NormSolver(x - y).norm_sq() == base
         ):
             return y, eps
         eps /= 2
@@ -133,13 +142,14 @@ def certify_extreme(x: TreeVector) -> ExtremeCertificate:
     """
     if x.is_zero():
         raise DomainError("the zero vector has no extremality certificate")
-    norm_sq = jt_norm_sq(x).norm_sq
-    report = is_separated(x, stop_on_blocked=True)
+    solver = NormSolver(x)
+    norm_sq = solver.norm_sq()
+    report = _separation_scan(solver, all_pairs=False, stop_on_blocked=True)
     if report.separated:
         basis = "l2-equality" if norm_sq == x.l2_sq() else "separated-finite-support"
         return ExtremeCertificate(verdict="extreme", basis=basis, norm_sq=norm_sq)
     u, v = report.first_blocked_pair
-    y, eps = perturbation_witness(x, u, v)
+    y, eps = _perturbation(solver, u, v)
     return ExtremeCertificate(
         verdict="not-extreme",
         basis="blocked-pair",
@@ -164,11 +174,7 @@ def vanishes_on_all_norming(
 def isolatable_nodes(x: TreeVector) -> dict[Node, bool]:
     """For each support node, whether some norming partition isolates it."""
     solver = NormSolver(x)
-    base = solver.norm_sq()
-    return {
-        a: solver.solve((IsolateNode(a),)).norm_sq == base
-        for a in canonical_order(x.support())
-    }
+    return {a: solver.isolation_gap(a) == 0 for a in canonical_order(x.support())}
 
 
 def all_isolatable_implies_l2(x: TreeVector) -> tuple[bool, bool]:
@@ -193,26 +199,35 @@ def _descent_sums(x: TreeVector) -> dict[str, dict[str, Fraction]]:
     active = {n.path[:k] for n in x.support() for k in range(n.depth + 1)}
     values = {n.path: v for n, v in x.items()}
     memo: dict[str, dict[str, Fraction]] = {}
+    # Children before parents, with an explicit stack: chains may be far
+    # deeper than the interpreter's recursion limit.
+    for start in values:
+        stack = [start]
+        while stack:
+            p = stack[-1]
+            if p in memo:
+                stack.pop()
+                continue
+            kids = [c for c in (p + "0", p + "1") if c in active]
+            pending = [c for c in kids if c not in memo]
+            if pending:
+                stack.extend(pending)
+                continue
+            stack.pop()
+            own = values.get(p, Fraction(0))
+            out: dict[str, Fraction] = {}
+            if not kids:
+                out[p] = own
+            else:
+                for c in (p + "0", p + "1"):
+                    if c in active:
+                        for bottom, s in memo[c].items():
+                            out[bottom] = own + s
+                    else:
+                        out[c] = own  # the branch leaves the support here
+            memo[p] = out
 
-    def sums(p: str) -> dict[str, Fraction]:
-        if p in memo:
-            return memo[p]
-        own = values.get(p, Fraction(0))
-        kids = [p + "0", p + "1"]
-        out: dict[str, Fraction] = {}
-        if not any(c in active for c in kids):
-            out[p] = own
-        else:
-            for c in kids:
-                if c in active:
-                    for bottom, s in sums(c).items():
-                        out[bottom] = own + s
-                else:
-                    out[c] = own  # the branch leaves the support here
-        memo[p] = out
-        return out
-
-    return {n.path: sums(n.path) for n in x.support()}
+    return {n.path: memo[n.path] for n in x.support()}
 
 
 def equal_sums_report(x: TreeVector) -> EqualSumsReport:

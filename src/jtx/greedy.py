@@ -199,6 +199,4 @@ def forced_segment_is_norming(x: TreeVector, s: Segment) -> bool:
     if x.segment_sum(s) != max_segment_sum(x, head):
         raise DomainError("segment sum does not attain the maximal segment sum")
     solver = NormSolver(x)
-    full = solver.solve().norm_sq
-    forced = solver.solve((ForceSegment(s),)).norm_sq
-    return forced == full
+    return solver.norm_sq((ForceSegment(s),)) == solver.norm_sq()

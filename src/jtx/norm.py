@@ -18,6 +18,16 @@ lower score) collapse automatically, and a node may also be left out of
 every segment. Scalars are rescaled to integers by the common
 denominator of the entries, which keeps every comparison exact.
 
+Parent-child separation gaps and node isolation reuse the unconstrained
+tables. Separating a child v from its parent cuts the edge above v, so
+gap(parent(v), v) = norm - closed(v) - outside(v): closed(v) is read
+from v's table, and outside(v), the best score on ran minus subtree(v),
+re-visits only the ancestor path of v against the cached tables of
+everything else. Isolating a node cuts the edges above and below it in
+the same way. Witness reconstruction and score-only queries share the
+same tables; the constrained DP stays the path for every other
+constraint set.
+
 A brute-force oracle enumerates all canonical families outright on
 small instances and shares no shortcut with the dynamic program.
 
@@ -151,6 +161,10 @@ class _ForcedSpec:
 
 _DONE = ("cdone",)
 
+# The empty constraint set, shared by every unconstrained solve.
+_NO_SEP = _SepSpec([])
+_NO_FORCED = _ForcedSpec([])
+
 # A node's DP table: ("done" entry or None, open-segment entries).
 # done:  (score, choice) with no segment passing up through the node.
 # opens: {(open sum, live pair mask): (score, choice)} with one segment
@@ -164,6 +178,23 @@ class NormSolver:
     Building the solver precomputes the scaled entries and the range
     forest once, so callers that probe many constraint sets (gap scans,
     separation checks) pay the structural cost a single time.
+
+    The unconstrained solve keeps its DP tables, and the parent-child
+    gap and node-isolation queries are answered from them. Separating a
+    child v from its parent cuts the edge above v, so
+
+        gap(parent(v), v) = norm - closed(v) - outside(v)
+
+    where closed(v) is the best score of subtree(v) with nothing open
+    into the parent, read from v's cached table, and outside(v) is the
+    best score on ran minus subtree(v). Isolating a node cuts the edges
+    above and below it, so its best score is val(a)^2 + sum of closed(c)
+    over its range children + outside(a). outside(v) re-visits only the
+    ancestor path of v: the parent without v, then each ancestor up to
+    the component root, reading every other table from the cache; the
+    other components contribute their cached bests. A query therefore
+    costs O(depth * table) instead of a DP over the whole range, and
+    builds no witness. Any other constraint set runs the constrained DP.
     """
 
     def __init__(self, x: TreeVector):
@@ -182,30 +213,29 @@ class NormSolver:
         self.roots = sorted(
             (p for p in ran if not p or p[:-1] not in ran), key=lambda p: (len(p), p)
         )
+        # The unconstrained DP, solved on first use: every node's table
+        # and each component root's best (score, closure choice).
+        self._tables: dict[str, _Table] | None = None
+        self._root_best: dict[str, tuple] = {}
+        self._total = 0
         self._base: NormResult | None = None
 
     # -- public ---------------------------------------------------------
 
     def solve(self, constraints: Iterable[Constraint] = ()) -> NormResult:
         sep, forced = self._normalize(constraints)
-        unconstrained = not sep.upper and not forced.segments
-        if unconstrained and self._base is not None:
+        if not sep.upper and not forced.segments:
+            if self._base is None:
+                self._solve_base()
+                self._base = self._result(self._tables, self._root_best)
             return self._base
-        total = 0
-        segments: list[Segment] = []
-        for root in self.roots:
-            value, segs = self._solve_component(root, sep, forced)
-            total += value
-            segments.extend(segs)
-        result = NormResult(
-            Fraction(total, self.den * self.den), Partition(frozenset(segments))
-        )
-        if unconstrained:
-            self._base = result
-        return result
+        tables: dict[str, _Table] = {}
+        bests = {root: self._dp(root, sep, forced, tables) for root in self.roots}
+        return self._result(tables, bests)
 
-    def norm_sq(self) -> Fraction:
-        return self.solve().norm_sq
+    def norm_sq(self, constraints: Iterable[Constraint] = ()) -> Fraction:
+        """solve(constraints).norm_sq, without building the witness."""
+        return Fraction(self._score(constraints), self.den * self.den)
 
     def gap(self, u: Node, v: Node) -> Fraction:
         """norm_sq minus the best score among partitions separating u and v."""
@@ -214,11 +244,29 @@ class NormSolver:
         for n in (u, v):
             if n.path not in self.ran:
                 raise DomainError(f"node {n.path!r} lies outside ran(x)")
-        if not (leq(u, v) or leq(v, u)):
+        if leq(u, v):
+            upper, lower = u.path, v.path
+        elif leq(v, u):
+            upper, lower = v.path, u.path
+        else:
             return Fraction(0)  # incomparable nodes never share a segment
-        base = self.solve().norm_sq
-        constrained = self.solve((SeparatePair(u, v),)).norm_sq
-        return base - constrained
+        base = self._score()
+        if len(lower) == len(upper) + 1:
+            kept = self._closed(lower) + self._outside(lower)
+        else:
+            kept = self._score((SeparatePair(u, v),))
+        return Fraction(base - kept, self.den * self.den)
+
+    def isolation_gap(self, a: Node) -> Fraction:
+        """norm_sq minus the best score among partitions containing [a, a]."""
+        self._require_in_ran(a)
+        p = a.path
+        kept = (
+            self.val.get(p, 0) ** 2
+            + sum(self._closed(c) for c in self.children[p])
+            + self._outside(p)
+        )
+        return Fraction(self._score() - kept, self.den * self.den)
 
     # -- constraint intake ------------------------------------------------
 
@@ -256,27 +304,74 @@ class NormSolver:
         if node.path not in self.ran:
             raise DomainError(f"constraint node {node.path!r} lies outside ran(x)")
 
+    # -- scores -------------------------------------------------------------
+
+    def _score(self, constraints: Iterable[Constraint] = ()) -> int:
+        """The scaled integer optimum under the constraints; no witness."""
+        sep, forced = self._normalize(constraints)
+        if not sep.upper and not forced.segments:
+            self._solve_base()
+            return self._total
+        return sum(self._dp(root, sep, forced, {})[0] for root in self.roots)
+
+    def _solve_base(self) -> None:
+        if self._tables is not None:
+            return
+        tables: dict[str, _Table] = {}
+        bests = {root: self._dp(root, _NO_SEP, _NO_FORCED, tables) for root in self.roots}
+        self._root_best = bests
+        self._total = sum(best[0] for best in bests.values())
+        self._tables = tables
+
+    def _closed(self, c: str) -> int:
+        """Best unconstrained score of subtree(c) with nothing open above c."""
+        self._solve_base()
+        return self._closed_best(c, self._tables[c], _NO_FORCED)[0]
+
+    def _outside(self, v: str) -> int:
+        """Best unconstrained score on ran minus subtree(v).
+
+        Re-visits v's parent without v, then each ancestor up to the
+        component root; every other table comes from the cache. The
+        path tables index children after the drop, so they are scored
+        but never reconstructed.
+        """
+        self._solve_base()
+        tables = self._tables
+        child, table, p = v, None, v[:-1]
+        while child and p in self.ran:
+            if table is None:
+                kids = [c for c in self.children[p] if c != child]
+            else:
+                kids = self.children[p]
+            local = {c: table if c == child else tables[c] for c in kids}
+            table = self._visit(p, kids, local, _NO_SEP, _NO_FORCED)
+            child, p = p, p[:-1]
+        rest = self._total - self._root_best[child][0]
+        if table is None:
+            return rest  # v is a component root
+        return rest + self._closed_best(child, table, _NO_FORCED)[0]
+
     # -- the dynamic program ----------------------------------------------
 
-    def _solve_component(
-        self, root: str, sep: _SepSpec, forced: _ForcedSpec
-    ) -> tuple[int, list[Segment]]:
-        tables: dict[str, _Table] = {}
+    def _dp(self, root: str, sep: _SepSpec, forced: _ForcedSpec, tables: dict) -> tuple:
+        """Fill the tables of root's component; return the root's best closure."""
         for p in self._postorder(root):
-            tables[p] = self._visit(p, tables, sep, forced)
-
-        done, opens = tables[root]
-        best: tuple[int, str, tuple | None] | None = None
-        if done is not None:
-            best = (done[0], "done", None)
-        if self._close_allowed(root, forced):
-            for key in self._sorted_keys(opens):
-                cand = opens[key][0] + key[0] * key[0]
-                if best is None or cand > best[0]:
-                    best = (cand, "close", key)
+            tables[p] = self._visit(p, self.children[p], tables, sep, forced)
+        best = self._closed_best(root, tables[root], forced)
         if best is None:
             raise InfeasibleError("no partition satisfies the constraint set")
-        return best[0], self._reconstruct(root, best[1], best[2], tables)
+        return best
+
+    def _result(self, tables: dict, bests: dict) -> NormResult:
+        total = 0
+        segments: list[Segment] = []
+        for root, (value, closure) in bests.items():
+            total += value
+            segments.extend(self._reconstruct(root, closure, tables))
+        return NormResult(
+            Fraction(total, self.den * self.den), Partition(frozenset(segments))
+        )
 
     def _postorder(self, root: str) -> list[str]:
         out: list[str] = []
@@ -318,8 +413,9 @@ class NormSolver:
                     best = (cand, ("cclose", key))
         return best
 
-    def _visit(self, p: str, tables: dict, sep: _SepSpec, forced: _ForcedSpec) -> _Table:
-        kids = self.children[p]
+    def _visit(
+        self, p: str, kids: list[str], tables: dict, sep: _SepSpec, forced: _ForcedSpec
+    ) -> _Table:
         kid_closed = [self._closed_best(c, tables[c], forced) for c in kids]
         xv = self.val.get(p, 0)
         start_mask = frozenset(sep.lower_at.get(p, ()))
@@ -383,39 +479,37 @@ class NormSolver:
 
     # -- witness extraction ------------------------------------------------
 
-    def _reconstruct(self, root: str, kind: str, key, tables: dict) -> list[Segment]:
+    def _reconstruct(self, root: str, closure: tuple, tables: dict) -> list[Segment]:
+        """Segments of the witness below root, with an explicit stack.
+
+        A closure is _DONE (no segment through the node) or ("cclose",
+        key) (a segment with open key closes at the node). Order does
+        not matter: the segments land in a frozenset.
+        """
         segments: list[Segment] = []
+        stack: list[tuple[str, tuple]] = [(root, closure)]
 
-        def resolve_closures(p: str, closures: tuple) -> None:
+        def push(p: str, closures: tuple) -> None:
             for c, cl in zip(self.children[p], closures):
-                if cl is None:
-                    continue  # the segment that climbed through p
-                if cl == _DONE:
-                    descend_done(c)
-                else:
-                    close_segment(c, cl[1])
+                if cl is not None:  # None marks the segment that climbed through p
+                    stack.append((c, cl))
 
-        def descend_done(p: str) -> None:
-            choice = tables[p][0][1]
-            resolve_closures(p, choice[1])
-
-        def close_segment(top: str, k) -> None:
-            p = top
+        while stack:
+            top, cl = stack.pop()
+            if cl == _DONE:
+                push(top, tables[top][0][1][1])
+                continue
+            p, k = top, cl[1]
             while True:
                 choice = tables[p][1][k][1]
                 if choice[0] == "start":
-                    resolve_closures(p, choice[1])
+                    push(p, choice[1])
                     segments.append(Segment(Node(top), Node(p)))
-                    return
+                    break
                 _, child_index, child_key, closures = choice
-                resolve_closures(p, closures)
+                push(p, closures)
                 p = self.children[p][child_index]
                 k = child_key
-
-        if kind == "done":
-            descend_done(root)
-        else:
-            close_segment(root, key)
         return segments
 
 

@@ -13,11 +13,13 @@ Claims:
     - positive separated vectors have balanced sibling sums; their
       branch sums agree when supp = ran, but not in general: a
       separated, extreme vector with unequal branch sums is pinned
+    - branch sums are computed without recursion on deep chains
 """
 
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -233,6 +235,26 @@ class TestSpecialSupports:
 
 
 class TestEqualSums:
+    def test_deep_chain_past_the_recursion_limit(self):
+        depth = 300
+        x = TreeVector.from_dict(
+            {"1" * k: 1 for k in range(0, depth + 1, 50)}, max_depth=depth
+        )
+        frames, f = 0, sys._getframe()
+        while f is not None:
+            frames, f = frames + 1, f.f_back
+        old = sys.getrecursionlimit()
+        sys.setrecursionlimit(frames + 100)  # far fewer frames than levels
+        try:
+            report = equal_sums_report(x)
+        finally:
+            sys.setrecursionlimit(old)
+        sums = report.branch_sums[Node("")]
+        assert sums[Node("1" * depth)] == 7
+        assert sums[Node("0")] == 1  # the exit just below the root
+        assert len(sums) == depth + 1
+        assert not report.holds
+
     def test_tripod_holds(self):
         report = equal_sums_report(TRIPOD)
         assert report.holds

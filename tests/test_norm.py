@@ -8,15 +8,22 @@ Claims:
       incomparable pairs
     - constraint sets shrink the constrained optimum monotonically
     - restriction to a complete subtree never increases the norm
+    - parent-child gaps and node isolation answered from the cached
+      tables equal the constrained DP, and the score-only path equals
+      solve(...).norm_sq (hypothesis differential suites)
+    - witness reconstruction runs at depths past the recursion limit
 """
 
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 from helpers import grid, random_signed
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from jtx import (
     CapError,
@@ -27,6 +34,7 @@ from jtx import (
     InvalidPartitionError,
     IsolateNode,
     Node,
+    NormSolver,
     Partition,
     Segment,
     SeparatePair,
@@ -37,9 +45,11 @@ from jtx import (
     constrained_norm_sq,
     enumerate_norming,
     gap,
+    isolatable_nodes,
     jt_norm_sq,
     leq,
     oracle_norm_sq,
+    parent_child_pairs,
     score,
     segments_disjoint,
 )
@@ -395,3 +405,113 @@ class TestRestrictionLemma:
             ran = list(x.range())
             sub = complete_closure(n for n in ran if rng.random() < 0.6)
             assert jt_norm_sq(x.restrict(sub)).norm_sq <= jt_norm_sq(x).norm_sq
+
+
+# -- differential suites: cached-table answers against the constrained DP ----
+
+_DIFF = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def signed_vectors(draw) -> TreeVector:
+    """Forests of several components, sparse chains and full trees of depth 2-5.
+
+    Sparse supports leave zero-valued interior nodes in the range.
+    """
+    kind = draw(st.sampled_from(["forest", "chain", "full"]))
+    if kind == "forest":
+        below_root = grid(4)[1:]
+        paths = draw(st.lists(st.sampled_from(below_root), min_size=1, max_size=9, unique=True))
+    elif kind == "chain":
+        branch = draw(st.text("01", min_size=1, max_size=12))
+        levels = draw(st.sets(st.integers(0, len(branch)), min_size=1, max_size=6))
+        paths = [branch[:k] for k in levels]
+    else:
+        paths = grid(draw(st.integers(2, 5)))
+    den = draw(st.integers(1, 4))
+    nonzero = st.integers(-3, 3).filter(bool)
+    return TreeVector.from_dict({p: Fraction(draw(nonzero), den) for p in paths})
+
+
+# three components rooted at "00", "01" and "1"; "10" is an interior zero
+FOREST = TreeVector.from_dict({"00": 1, "000": -2, "01": 2, "1": 1, "100": 1, "101": 3})
+
+
+class TestCutIdentity:
+    @_DIFF
+    @given(signed_vectors())
+    @example(FOREST)
+    @example(EX)
+    def test_parent_child_gaps_match_constrained_dp(self, x):
+        oracle = NormSolver(x)
+        norm = oracle.solve().norm_sq
+        solver = NormSolver(x)  # fresh: the first gap triggers the base solve
+        for u, v in parent_child_pairs(x.range()):
+            expected = norm - oracle.solve((SeparatePair(u, v),)).norm_sq
+            assert solver.gap(u, v) == expected
+            assert solver.gap(v, u) == expected
+
+    @_DIFF
+    @given(signed_vectors())
+    @example(FOREST)
+    def test_isolation_matches_constrained_dp(self, x):
+        oracle = NormSolver(x)
+        norm = oracle.solve().norm_sq
+        solver = NormSolver(x)
+        for a in x.range():  # includes every component root and interior zero
+            expected = norm - oracle.solve((IsolateNode(a),)).norm_sq
+            assert solver.isolation_gap(a) == expected
+        assert isolatable_nodes(x) == {
+            a: oracle.solve((IsolateNode(a),)).norm_sq == norm for a in x.support()
+        }
+
+    @_DIFF
+    @given(signed_vectors(), st.data())
+    def test_score_only_matches_solve(self, x, data):
+        ran = sorted(x.range(), key=Node.sort_key)
+        pool = (
+            [SeparatePair(u, v) for u in ran for v in ran if u != v and leq(u, v)]
+            + [IsolateNode(a) for a in ran]
+            + [ForceSegment(Segment(u, v)) for u in ran for v in ran if leq(u, v)]
+        )
+        for _ in range(4):
+            constraints = data.draw(st.lists(st.sampled_from(pool), max_size=3))
+            solver = NormSolver(x)
+            try:
+                expected = solver.solve(constraints).norm_sq
+            except InfeasibleError:
+                with pytest.raises(InfeasibleError):
+                    NormSolver(x).norm_sq(constraints)
+                continue
+            assert NormSolver(x).norm_sq(constraints) == expected
+            assert solver.norm_sq(constraints) == expected
+
+    def test_non_adjacent_gap_matches_constrained_dp(self):
+        x = TreeVector.from_dict({"": 1, "0": -1, "00": 1, "001": 2})
+        solver = NormSolver(x)
+        for u, v in [(Node(""), Node("00")), (Node("001"), Node(""))]:
+            assert solver.gap(u, v) == (
+                solver.norm_sq() - solver.solve((SeparatePair(u, v),)).norm_sq
+            )
+
+    def test_isolation_outside_range(self):
+        with pytest.raises(DomainError):
+            NormSolver(EX).isolation_gap(Node("111"))
+
+
+class TestDeepChains:
+    def test_alternating_chain_of_depth_900_under_default_limit(self):
+        depth = 900
+        levels = range(0, depth + 1, 100)
+        branch = "01" * (depth // 2)
+        x = TreeVector.from_dict(
+            {branch[:k]: (-1) ** i for i, k in enumerate(levels)}, max_depth=depth
+        )
+        old = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            result = jt_norm_sq(x)
+        finally:
+            sys.setrecursionlimit(old)
+        assert result.norm_sq == len(levels)
+        assert result.witness == Partition(frozenset(Segment(n, n) for n in x.support()))
