@@ -5,6 +5,10 @@ JSON document to stdout (or --out). Exit codes: 0 success, 2 parse
 error, 3 precondition violation, 4 oracle cap exceeded, 5 internal
 invariant failure. JTX_ORACLE_CAP overrides the default oracle cap;
 the --oracle-cap flag overrides both.
+
+Input bounds (exit 2 beyond them): --digits lies in 0..1000, and vector
+values are integers, fractions or plain decimals; exponent forms such
+as "1e50" are rejected.
 """
 
 from __future__ import annotations
@@ -18,11 +22,10 @@ from . import dot as dot_mod
 from . import wire
 from .errors import InputError, InternalError, JtxError
 from .extremality import (
-    all_isolatable_implies_l2,
+    _isolation_report,
     certify_extreme,
     equal_sums_report,
     is_separated,
-    isolatable_nodes,
     perturbation_witness,
     vanishes_on_all_norming,
 )
@@ -55,7 +58,8 @@ def _build_parser() -> argparse.ArgumentParser:
             "--digits",
             type=int,
             default=wire.DEFAULT_DIGITS,
-            help="fractional digits for decimal norm renderings",
+            help="fractional digits for decimal norm renderings (0 to %d)"
+            % wire.MAX_DIGITS,
         )
         p.add_argument(
             "--oracle-cap",
@@ -128,6 +132,7 @@ def _resolve_cap(args: argparse.Namespace) -> int:
 
 
 def _run(args: argparse.Namespace) -> dict:
+    wire.check_digits(args.digits)
     x = _load_vector(args.vector)
     cap = _resolve_cap(args)
 
@@ -186,8 +191,7 @@ def _run(args: argparse.Namespace) -> dict:
         }
 
     if args.command == "isolatable":
-        per_node = isolatable_nodes(x)
-        every, l2_match = all_isolatable_implies_l2(x)
+        per_node, every, l2_match = _isolation_report(NormSolver(x))
         return {
             "all_isolatable": every,
             "l2_match": l2_match,

@@ -20,7 +20,7 @@ from typing import Optional
 
 from .errors import DomainError, InternalError
 from .greedy import SupportTree, _support_s_values
-from .norm import NormSolver, enumerate_norming, jt_norm_sq
+from .norm import NormSolver, enumerate_norming
 from .tree import (
     Node,
     canonical_order,
@@ -173,8 +173,7 @@ def vanishes_on_all_norming(
 
 def isolatable_nodes(x: TreeVector) -> dict[Node, bool]:
     """For each support node, whether some norming partition isolates it."""
-    solver = NormSolver(x)
-    return {a: solver.isolation_gap(a) == 0 for a in canonical_order(x.support())}
+    return _isolation_report(NormSolver(x))[0]
 
 
 def all_isolatable_implies_l2(x: TreeVector) -> tuple[bool, bool]:
@@ -183,50 +182,63 @@ def all_isolatable_implies_l2(x: TreeVector) -> tuple[bool, bool]:
     The first component implies the second; both are returned so the
     implication can be asserted externally.
     """
-    every = all(isolatable_nodes(x).values())
-    return every, jt_norm_sq(x).norm_sq == x.l2_sq()
+    _, every, l2_match = _isolation_report(NormSolver(x))
+    return every, l2_match
+
+
+def _isolation_report(solver: NormSolver) -> tuple[dict[Node, bool], bool, bool]:
+    """Per-node isolatability, then both flags of all_isolatable_implies_l2.
+
+    The isolation gaps solve the unconstrained DP, so the norm comes free.
+    """
+    x = solver.x
+    per_node = {a: solver.isolation_gap(a) == 0 for a in canonical_order(x.support())}
+    return per_node, all(per_node.values()), solver.norm_sq() == x.l2_sq()
+
+
+def _prefix_paths(x: TreeVector) -> set[str]:
+    """Every node with support at or below it."""
+    return {n.path[:k] for n in x.support() for k in range(n.depth + 1)}
 
 
 def _descent_sums(x: TreeVector) -> dict[str, dict[str, Fraction]]:
-    """Branch sums below every node with support at or below it.
+    """Branch sums below every support node.
 
-    Returns, for each such node p, a map from the last node of a
+    Returns, for each support node p, a map from the last node of a
     descending chain to the sum of x along it. A chain either ends where
     no support remains below, or exits through a support-free sibling
     wedge one step past the populated region; both variants stand in for
     the infinite branches they represent, whose sums they equal.
+
+    Maps are built only at support nodes, deepest first. From p, a walk
+    down the support-free stretch below it adds x(p) to every exit it
+    passes and to every entry of the maps of the support nodes where it
+    stops. Each node is walked once and each map entry copied once, so
+    the cost is linear in the prefix set plus the output, where a copy
+    at every level would be quadratic in chain depth.
     """
-    active = {n.path[:k] for n in x.support() for k in range(n.depth + 1)}
+    active = _prefix_paths(x)
     values = {n.path: v for n, v in x.items()}
     memo: dict[str, dict[str, Fraction]] = {}
-    # Children before parents, with an explicit stack: chains may be far
-    # deeper than the interpreter's recursion limit.
-    for start in values:
+    for start in sorted(values, key=len, reverse=True):
+        own = values[start]
+        out: dict[str, Fraction] = {}
         stack = [start]
         while stack:
-            p = stack[-1]
-            if p in memo:
-                stack.pop()
+            p = stack.pop()
+            kids = (p + "0", p + "1")
+            if not any(c in active for c in kids):
+                out[p] = own  # only start can be a leaf: support nodes stop the walk
                 continue
-            kids = [c for c in (p + "0", p + "1") if c in active]
-            pending = [c for c in kids if c not in memo]
-            if pending:
-                stack.extend(pending)
-                continue
-            stack.pop()
-            own = values.get(p, Fraction(0))
-            out: dict[str, Fraction] = {}
-            if not kids:
-                out[p] = own
-            else:
-                for c in (p + "0", p + "1"):
-                    if c in active:
-                        for bottom, s in memo[c].items():
-                            out[bottom] = own + s
-                    else:
-                        out[c] = own  # the branch leaves the support here
-            memo[p] = out
-
+            for c in kids:
+                if c not in active:
+                    out[c] = own  # the branch leaves the support here
+                elif c in values:
+                    for bottom, s in memo[c].items():
+                        out[bottom] = own + s
+                else:
+                    stack.append(c)
+        memo[start] = out
     return {n.path: memo[n.path] for n in x.support()}
 
 
@@ -251,7 +263,7 @@ def equal_sums_report(x: TreeVector) -> EqualSumsReport:
 
     st = SupportTree(x)
     s_vals = _support_s_values(x, st)
-    active = {n.path[:k] for n in x.support() for k in range(n.depth + 1)}
+    active = _prefix_paths(x)
 
     def wedge_s(path: str) -> Fraction:
         if path not in active:

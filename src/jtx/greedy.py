@@ -171,9 +171,15 @@ def consistent_with_greedy(
     x.require_positive("consistent_with_greedy")
     st = SupportTree(x)
     s = _support_s_values(x, st)
+    supp = {n.path for n in st.nodes}
     violations: list[GreedyViolation] = []
     for seg in p.sorted_segments():
-        chain = [n for n in canonical_order(st.nodes) if n in seg]
+        b = seg.bottom.path
+        chain = [
+            Node(b[:k])
+            for k in range(seg.top.depth, seg.bottom.depth + 1)
+            if b[:k] in supp
+        ]
         for u, nxt in zip(chain, chain[1:]):
             best = max(s[c] for c in st.children[u])
             if s[nxt] < best:

@@ -46,7 +46,7 @@ from math import lcm
 from typing import Iterable, Union
 
 from .errors import CapError, DomainError, InfeasibleError, InvalidPartitionError
-from .tree import Node, Segment, leq, segments_disjoint
+from .tree import Node, Segment, leq, range_paths, segments_disjoint
 from .vector import TreeVector
 
 # Exhaustive family enumeration grows super-exponentially; refuse above this
@@ -61,11 +61,23 @@ class Partition:
     segments: frozenset[Segment]
 
     def __post_init__(self) -> None:
-        segs = self.sorted_segments()
-        for i, s1 in enumerate(segs):
-            for s2 in segs[i + 1 :]:
-                if not segments_disjoint(s1, s2):
-                    raise InvalidPartitionError(f"segments overlap: {s1} and {s2}")
+        """Reject overlapping segments in O(k log k + k * depth).
+
+        Two chains meet iff the top of one lies in the other. Each top,
+        visited after the tops above it, is tested only against the
+        segment with the nearest top at or above it: a farther segment
+        holding it would also hold that nearest top, an overlap already
+        caught at the nearest top's own test.
+        """
+        by_top: dict[str, Segment] = {}
+        for seg in self.sorted_segments():
+            t = seg.top.path
+            nearest = next(
+                (by_top[t[:k]] for k in range(len(t), -1, -1) if t[:k] in by_top), None
+            )
+            if nearest is not None and leq(seg.top, nearest.bottom):
+                raise InvalidPartitionError(f"segments overlap: {nearest} and {seg}")
+            by_top[t] = seg
 
     @classmethod
     def of(cls, *segments: Segment) -> Partition:
@@ -203,12 +215,7 @@ class NormSolver:
         self.den = lcm(*(v.denominator for v in entries.values())) if entries else 1
         self.val = {p: int(v * self.den) for p, v in entries.items()}
         self.supp = frozenset(self.val)
-        ran = set(self.supp)
-        for a in self.supp:
-            for b in self.supp:
-                if b.startswith(a):
-                    ran.update(b[:k] for k in range(len(a), len(b)))
-        self.ran = frozenset(ran)
+        self.ran = ran = range_paths(self.supp)
         self.children = {p: [c for c in (p + "0", p + "1") if c in ran] for p in ran}
         self.roots = sorted(
             (p for p in ran if not p or p[:-1] not in ran), key=lambda p: (len(p), p)

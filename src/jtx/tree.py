@@ -120,20 +120,30 @@ def canonical_order(nodes: Iterable[Node]) -> list[Node]:
     return sorted(nodes, key=Node.sort_key)
 
 
-def complete_closure(nodes: Iterable[Node]) -> frozenset[Node]:
-    """Smallest complete subtree containing the given nodes.
+def range_paths(paths: Iterable[str]) -> frozenset[str]:
+    """Paths of the smallest complete subtree containing the given paths.
 
-    Adds every node between each comparable pair. One pass suffices: any
-    two members of the result are bracketed by members of the input, so
-    the output is already interval-closed.
+    A node belongs to it iff it is a prefix of a member and has a member
+    as a prefix. Each member b climbs from itself toward its shallowest
+    member prefix and stops at the first node already added: that node's
+    own climb reached the same shallowest prefix, so everything above it
+    is in. Each node is added once, so the cost is O(|paths| * depth).
     """
-    paths = {n.path for n in nodes}
-    out = set(paths)
-    for a in paths:
-        for b in paths:
-            if b.startswith(a):
-                out.update(b[:k] for k in range(len(a), len(b)))
-    return frozenset(Node(p) for p in out)
+    members = set(paths)
+    out: set[str] = set()
+    for b in members:
+        top = next(k for k in range(len(b) + 1) if b[:k] in members)
+        for k in range(len(b), top - 1, -1):
+            p = b[:k]
+            if p in out:
+                break
+            out.add(p)
+    return frozenset(out)
+
+
+def complete_closure(nodes: Iterable[Node]) -> frozenset[Node]:
+    """Smallest complete subtree containing the given nodes."""
+    return frozenset(Node(p) for p in range_paths(n.path for n in nodes))
 
 
 def comparable_pairs(nodes: Iterable[Node]) -> list[tuple[Node, Node]]:

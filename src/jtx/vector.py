@@ -26,7 +26,11 @@ RationalLike = Union[Fraction, int, str]
 
 
 def parse_rational(value: RationalLike) -> Fraction:
-    """Exact scalar from "p", "-p", "p/q", an exact decimal string, or an int."""
+    """Exact scalar from "p", "-p", "p/q", an exact decimal string, or an int.
+
+    Exponent forms such as "1e50" are rejected: a few characters would
+    otherwise denote an integer of any size.
+    """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool) or isinstance(value, float):
@@ -34,6 +38,8 @@ def parse_rational(value: RationalLike) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        if "e" in value.lower():
+            raise InputError(f"exponent forms are not accepted, got {value!r}")
         try:
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:

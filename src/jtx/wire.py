@@ -21,6 +21,8 @@ from .tree import DEFAULT_MAX_DEPTH, Node, Segment, parse_node
 from .vector import TreeVector, format_rational, parse_rational
 
 DEFAULT_DIGITS = 12
+# Cap on fractional digits, which bounds the size of the exact square root.
+MAX_DIGITS = 1000
 
 
 # -- vectors ------------------------------------------------------------
@@ -83,6 +85,12 @@ def load_partition(stream: IO[str], max_depth: int = DEFAULT_MAX_DEPTH) -> Parti
 # -- decimal rendering ----------------------------------------------------
 
 
+def check_digits(digits: int) -> None:
+    """Reject digit counts outside 0..MAX_DIGITS."""
+    if not 0 <= digits <= MAX_DIGITS:
+        raise InputError(f"digits must be between 0 and {MAX_DIGITS}, got {digits}")
+
+
 def sqrt_decimal(q: Fraction, digits: int = DEFAULT_DIGITS) -> str:
     """Decimal expansion of sqrt(q) with `digits` fractional digits.
 
@@ -92,8 +100,7 @@ def sqrt_decimal(q: Fraction, digits: int = DEFAULT_DIGITS) -> str:
     """
     if q < 0:
         raise InputError("sqrt_decimal requires a nonnegative rational")
-    if digits < 0:
-        raise InputError("digits must be nonnegative")
+    check_digits(digits)
     p, r = q.numerator, q.denominator
     scaled = p * 10 ** (2 * digits)
     n = isqrt(scaled // r)

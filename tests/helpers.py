@@ -1,13 +1,16 @@
 """Random instance generators shared across the test modules.
 
 Every generator takes an explicit random.Random so each test pins its
-own seed and the suite stays deterministic.
+own seed and the suite stays deterministic; `support_paths` is the
+hypothesis strategy shared by the differential suites.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+
+from hypothesis import strategies as st
 
 from jtx import Node, Segment, TreeVector
 
@@ -18,6 +21,23 @@ def grid(max_depth: int) -> list[str]:
     for d in range(1, max_depth + 1):
         out.extend(format(i, f"0{d}b") for i in range(2**d))
     return out
+
+
+@st.composite
+def support_paths(draw, max_chain: int = 12) -> list[str]:
+    """Forests of several components, sparse chains and full trees of depth 2-5.
+
+    Sparse supports leave support-free interior nodes in the range.
+    """
+    kind = draw(st.sampled_from(["forest", "chain", "full"]))
+    if kind == "forest":
+        below_root = grid(4)[1:]
+        return draw(st.lists(st.sampled_from(below_root), min_size=1, max_size=9, unique=True))
+    if kind == "chain":
+        branch = draw(st.text("01", min_size=1, max_size=max_chain))
+        levels = draw(st.sets(st.integers(0, len(branch)), min_size=1, max_size=6))
+        return [branch[:k] for k in levels]
+    return grid(draw(st.integers(2, 5)))
 
 
 def random_signed(

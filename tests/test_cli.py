@@ -5,6 +5,9 @@ Claims:
     - output bytes are identical across repeated runs
     - exit codes: 0 ok, 2 parse, 3 precondition, 4 cap, 5 internal
     - JTX_ORACLE_CAP and --oracle-cap control the enumeration cap
+    - --digits accepts 0..1000 and vector values reject exponent forms,
+      both with exit 2
+    - isolatable builds one solver per command
 """
 
 from __future__ import annotations
@@ -231,6 +234,22 @@ class TestOtherCommands:
         assert doc["l2_match"] is False
         assert doc["nodes"] == {"": False, "00": True, "01": True}
 
+    def test_isolatable_builds_one_solver(self, vec_file, capsys, monkeypatch):
+        from jtx.norm import NormSolver
+
+        built = []
+        init = NormSolver.__init__
+
+        def counting_init(self, x):
+            built.append(x)
+            init(self, x)
+
+        monkeypatch.setattr(NormSolver, "__init__", counting_init)
+        code, out, _ = _run(capsys, ["isolatable", vec_file])
+        assert code == 0
+        assert json.loads(out)["all_isolatable"] is False
+        assert len(built) == 1
+
     def test_witness(self, vec_file, capsys):
         _, out, _ = _run(capsys, ["witness", vec_file, "--u", "", "--v", "0"])
         doc = json.loads(out)
@@ -328,6 +347,29 @@ class TestErrors:
         monkeypatch.setenv("JTX_ORACLE_CAP", "2")
         code, _, _ = _run(capsys, ["enumerate-norming", str(path), "--oracle-cap", "5"])
         assert code == 0
+
+    @pytest.mark.parametrize("digits", ["0", "1000"])
+    def test_digits_bounds_accepted(self, vec_file, capsys, digits):
+        code, out, _ = _run(capsys, ["norm", vec_file, "--digits", digits])
+        assert code == 0
+        decimal = json.loads(out)["norm_decimal"]
+        assert decimal.startswith("2")
+        assert len(decimal) == (1 if digits == "0" else 1002)
+
+    @pytest.mark.parametrize("command", [["norm"], ["gap", "--u", "", "--v", "0"]])
+    @pytest.mark.parametrize("digits", ["-1", "1001"])
+    def test_digits_out_of_bounds(self, vec_file, capsys, command, digits):
+        argv = [command[0], vec_file, *command[1:], "--digits", digits]
+        code, out, err = _run(capsys, argv)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["type"] == "InputError"
+
+    def test_exponent_value_rejected(self, tmp_path, capsys):
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({"vector": {"": "1e50"}}))
+        code, _, err = _run(capsys, ["norm", str(path)])
+        assert code == 2
+        assert "exponent" in json.loads(err)["error"]["message"]
 
     def test_oracle_disagreement_is_internal_error(self, vec_file, capsys, monkeypatch):
         from fractions import Fraction

@@ -13,7 +13,9 @@ Claims:
     - positive separated vectors have balanced sibling sums; their
       branch sums agree when supp = ran, but not in general: a
       separated, extreme vector with unequal branch sums is pinned
-    - branch sums are computed without recursion on deep chains
+    - branch sums are computed without recursion on deep chains, and
+      equal the per-level construction they replaced (hypothesis
+      differential)
 """
 
 from __future__ import annotations
@@ -31,7 +33,10 @@ from helpers import (
     level_symmetric,
     random_positive,
     random_signed,
+    support_paths,
 )
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from jtx import (
     DomainError,
@@ -47,6 +52,7 @@ from jtx import (
     perturbation_witness,
     vanishes_on_all_norming,
 )
+from jtx.extremality import _descent_sums
 
 EX = TreeVector.from_dict({"": 1, "00": 1, "01": 1})
 TRIPOD = TreeVector.from_dict({"": 1, "0": 1, "1": 1})
@@ -232,6 +238,62 @@ class TestSpecialSupports:
                 hits += 1
                 assert jt_norm_sq(x).norm_sq == x.l2_sq()
         assert hits >= 10
+
+
+def _descent_sums_per_level(x: TreeVector) -> dict[str, dict[str, Fraction]]:
+    """Reference: a branch-sum map at every node with support at or below it.
+
+    Each level copies the maps of its children, so the cost is quadratic
+    in chain depth.
+    """
+    active = {n.path[:k] for n in x.support() for k in range(n.depth + 1)}
+    values = {n.path: v for n, v in x.items()}
+    memo: dict[str, dict[str, Fraction]] = {}
+    for start in values:
+        stack = [start]
+        while stack:
+            p = stack[-1]
+            if p in memo:
+                stack.pop()
+                continue
+            kids = [c for c in (p + "0", p + "1") if c in active]
+            pending = [c for c in kids if c not in memo]
+            if pending:
+                stack.extend(pending)
+                continue
+            stack.pop()
+            own = values.get(p, Fraction(0))
+            out: dict[str, Fraction] = {}
+            if not kids:
+                out[p] = own
+            else:
+                for c in (p + "0", p + "1"):
+                    if c in active:
+                        for bottom, s in memo[c].items():
+                            out[bottom] = own + s
+                    else:
+                        out[c] = own
+            memo[p] = out
+    return {n.path: memo[n.path] for n in x.support()}
+
+
+@st.composite
+def valued_supports(draw) -> TreeVector:
+    """Positive or signed values on forests, sparse chains and full trees."""
+    paths = draw(support_paths(max_chain=60))
+    low = draw(st.sampled_from([1, -3]))
+    value = st.integers(low, 3).filter(bool)
+    return TreeVector.from_dict({p: Fraction(draw(value), 2) for p in paths}, max_depth=60)
+
+
+class TestDescentSumsDifferential:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(valued_supports())
+    @example(TreeVector.zero())
+    @example(TreeVector.from_dict({"": 1, "1": 4, "00": 4}))
+    @example(TreeVector.from_dict({"01" * k: k + 1 for k in range(0, 121, 20)}, max_depth=240))
+    def test_matches_per_level_maps(self, x):
+        assert _descent_sums(x) == _descent_sums_per_level(x)
 
 
 class TestEqualSums:

@@ -6,6 +6,9 @@ Claims:
     - the wedge-norm recursion holds at every support node
     - every norming partition is consistent with the greedy rule, and
       inconsistent partitions are reported with their witness
+    - consistent_with_greedy gives the verdict and violations of the
+      support-wide chain rule it replaced, also for segments whose
+      endpoints lie outside the support (hypothesis differential)
     - forcing a maximal head segment at a minimal support node keeps the
       norm attainable
     - all tie branches of the greedy walk score identically
@@ -18,7 +21,9 @@ import random
 from fractions import Fraction
 
 import pytest
-from helpers import maximal_head_segment, random_positive
+from helpers import maximal_head_segment, random_positive, support_paths
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from jtx import (
     DomainError,
@@ -38,7 +43,9 @@ from jtx import (
     max_segment_sum,
     recursive_norm_check,
     score,
+    segments_disjoint,
 )
+from jtx.greedy import GreedyViolation, _support_s_values
 
 EX = TreeVector.from_dict({"": 1, "00": 1, "01": 1})
 LOPSIDED = TreeVector.from_dict({"": 1, "0": 2, "1": 1})
@@ -230,6 +237,52 @@ class TestConsistency:
             for p in enumerate_norming(x):
                 ok, violations = consistent_with_greedy(x, p)
                 assert ok, (x, p, violations)
+
+
+def _consistent_by_support_scan(x: TreeVector, p: Partition):
+    """Reference: each segment's chain found by scanning the whole support."""
+    st_ = SupportTree(x)
+    s = _support_s_values(x, st_)
+    violations = []
+    for seg in p.sorted_segments():
+        chain = [n for n in canonical_order(st_.nodes) if n in seg]
+        for u, nxt in zip(chain, chain[1:]):
+            best = max(s[c] for c in st_.children[u])
+            if s[nxt] < best:
+                better = next(c for c in canonical_order(st_.children[u]) if s[c] == best)
+                violations.append(GreedyViolation(seg, u, nxt, better, s[nxt], best))
+    return (not violations, violations)
+
+
+@st.composite
+def positive_with_partition(draw) -> tuple[TreeVector, Partition]:
+    """A positive vector and a disjoint family of segments along its support.
+
+    Each segment ends at or below a support node, possibly past the
+    range, and starts at one of its prefixes, possibly above the range.
+    """
+    paths = draw(support_paths())
+    den = draw(st.integers(1, 3))
+    x = TreeVector.from_dict({p: Fraction(draw(st.integers(1, 3)), den) for p in paths})
+    chosen: list[Segment] = []
+    for _ in range(draw(st.integers(0, 5))):
+        anchor = draw(st.sampled_from(sorted(paths)))
+        bottom = anchor + draw(st.text("01", max_size=2))
+        top = bottom[: draw(st.integers(0, len(bottom)))]
+        seg = Segment(Node(top), Node(bottom))
+        if all(segments_disjoint(seg, other) for other in chosen):
+            chosen.append(seg)
+    return x, Partition(frozenset(chosen))
+
+
+class TestConsistencyDifferential:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(positive_with_partition())
+    @example((LOPSIDED, Partition.of(Segment(Node(""), Node("1")), Segment(Node("0"), Node("0")))))
+    @example((EX, Partition.of(Segment(Node(""), Node("010")))))
+    def test_matches_support_scan(self, case):
+        x, p = case
+        assert consistent_with_greedy(x, p) == _consistent_by_support_scan(x, p)
 
 
 class TestForcedSegment:

@@ -2,6 +2,9 @@
 
 Claims:
     - score reproduces the worked squared sums and rejects overlaps
+    - Partition raises iff some pair of its segments meets (exhaustive
+      on small families, hypothesis on nested, overlapping and
+      same-top families)
     - the DP equals the brute-force oracle on every tested instance
     - witnesses are canonical, score their own norm, satisfy constraints
     - separation gaps match the worked example and vanish on
@@ -16,12 +19,13 @@ Claims:
 
 from __future__ import annotations
 
+import itertools
 import random
 import sys
 from fractions import Fraction
 
 import pytest
-from helpers import grid, random_signed
+from helpers import grid, random_signed, support_paths
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -91,6 +95,61 @@ class TestScore:
             Partition.of(
                 Segment(Node(""), Node("0")), Segment(Node("0"), Node("00"))
             )
+
+
+def _some_pair_meets(segments) -> bool:
+    """Reference: the pairwise disjointness scan Partition once ran."""
+    segs = sorted(set(segments), key=Segment.sort_key)
+    return any(
+        not segments_disjoint(s1, s2) for i, s1 in enumerate(segs) for s2 in segs[i + 1 :]
+    )
+
+
+def _raises_invalid(segments) -> bool:
+    try:
+        Partition(frozenset(segments))
+    except InvalidPartitionError:
+        return True
+    return False
+
+
+@st.composite
+def segment_families(draw) -> list[Segment]:
+    """Up to 6 segments of a depth-5 tree: nested, overlapping or sharing tops."""
+    segs = []
+    for _ in range(draw(st.integers(0, 6))):
+        top = draw(st.text("01", max_size=3))
+        if segs and draw(st.booleans()):
+            top = draw(st.sampled_from(segs)).top.path  # a shared top
+        bottom = top + draw(st.text("01", max_size=2))
+        segs.append(Segment(Node(top), Node(bottom)))
+    return segs
+
+
+class TestPartitionValidation:
+    def test_all_families_of_up_to_three_segments_depth2(self):
+        nodes = [Node(p) for p in grid(2)]
+        segments = [Segment(a, b) for a in nodes for b in nodes if leq(a, b)]
+        outcomes = set()
+        for k in range(4):
+            for family in itertools.combinations(segments, k):
+                expected = _some_pair_meets(family)
+                assert _raises_invalid(family) == expected, family
+                outcomes.add(expected)
+        assert outcomes == {True, False}
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(segment_families())
+    @example([Segment(Node(""), Node("000")), Segment(Node("00"), Node("00"))])
+    @example([Segment(Node("0"), Node("00")), Segment(Node("0"), Node("01"))])
+    # [00, 00]'s nearest higher top is 0, whose segment misses 00; the
+    # overlap with [, 000] shows at the top 0
+    @example([Segment(Node(""), Node("000")), Segment(Node("0"), Node("0")),
+              Segment(Node("00"), Node("00"))])
+    @example([Segment(Node(""), Node("")), Segment(Node("0"), Node("00")),
+              Segment(Node("000"), Node("0001")), Segment(Node("00"), Node("00"))])
+    def test_raises_iff_some_pair_meets(self, segments):
+        assert _raises_invalid(segments) == _some_pair_meets(segments)
 
 
 class TestJtNormSq:
@@ -414,20 +473,8 @@ _DIFF = settings(max_examples=60, deadline=None, derandomize=True, database=None
 
 @st.composite
 def signed_vectors(draw) -> TreeVector:
-    """Forests of several components, sparse chains and full trees of depth 2-5.
-
-    Sparse supports leave zero-valued interior nodes in the range.
-    """
-    kind = draw(st.sampled_from(["forest", "chain", "full"]))
-    if kind == "forest":
-        below_root = grid(4)[1:]
-        paths = draw(st.lists(st.sampled_from(below_root), min_size=1, max_size=9, unique=True))
-    elif kind == "chain":
-        branch = draw(st.text("01", min_size=1, max_size=12))
-        levels = draw(st.sets(st.integers(0, len(branch)), min_size=1, max_size=6))
-        paths = [branch[:k] for k in levels]
-    else:
-        paths = grid(draw(st.integers(2, 5)))
+    """Signed values on the supports of `support_paths`."""
+    paths = draw(support_paths())
     den = draw(st.integers(1, 4))
     nonzero = st.integers(-3, 3).filter(bool)
     return TreeVector.from_dict({p: Fraction(draw(nonzero), den) for p in paths})

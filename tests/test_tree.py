@@ -7,6 +7,8 @@ Claims:
       every segment pair of the depth-5 tree
     - complete_closure is the minimal interval-closed superset,
       idempotent and monotone
+    - range_paths equals the all-pairs definition of the range on
+      forests, sparse chains and full trees (hypothesis differential)
     - comparable_pairs scans exactly the strictly ordered pairs
 """
 
@@ -15,7 +17,9 @@ from __future__ import annotations
 import random
 
 import pytest
-from helpers import grid
+from helpers import grid, support_paths
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from jtx import (
     DomainError,
@@ -31,6 +35,7 @@ from jtx import (
     parse_node,
     segments_disjoint,
 )
+from jtx.tree import range_paths
 
 
 def _nodes(*paths: str) -> list[Node]:
@@ -162,6 +167,36 @@ class TestClosure:
             ca, cb = complete_closure(a), complete_closure(b)
             assert complete_closure(ca) == ca
             assert ca <= cb
+
+
+def _range_all_pairs(paths: set[str]) -> frozenset[str]:
+    """Reference range: every node between each comparable pair of members."""
+    out = set(paths)
+    for a in paths:
+        for b in paths:
+            if b.startswith(a):
+                out.update(b[:k] for k in range(len(a), len(b)))
+    return frozenset(out)
+
+
+class TestRangePaths:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(support_paths(max_chain=40))
+    @example(["00", "000", "01", "1", "100", "101"])  # three components
+    @example([""])
+    @example([])
+    def test_matches_all_pairs_definition(self, paths):
+        expected = _range_all_pairs(set(paths))
+        assert range_paths(paths) == expected
+        assert range_paths(reversed(sorted(paths))) == expected
+        assert complete_closure(Node(p) for p in paths) == frozenset(
+            Node(p) for p in expected
+        )
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.text("01", max_size=8), max_size=12))
+    def test_matches_on_arbitrary_path_sets(self, paths):
+        assert range_paths(paths) == _range_all_pairs(set(paths))
 
 
 class TestPairScans:

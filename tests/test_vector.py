@@ -46,6 +46,17 @@ class TestConstruction:
         with pytest.raises(InputError):
             parse_rational("abc")
 
+    @pytest.mark.parametrize("text", ["1e50", "1E5", "2.5e-3", "-1e0", "3/1e2"])
+    def test_rejects_exponent_forms(self, text):
+        with pytest.raises(InputError, match="exponent"):
+            parse_rational(text)
+
+    def test_accepts_long_plain_forms(self):
+        digits = "9" * 60
+        assert parse_rational(digits) == int(digits)
+        assert parse_rational(f"-{digits}/7") == Fraction(-int(digits), 7)
+        assert parse_rational("0." + "0" * 49 + "1") == Fraction(1, 10**50)
+
     def test_duplicate_nodes_rejected(self):
         with pytest.raises(InputError):
             TreeVector.from_dict({"0": 1, Node("0"): 2})

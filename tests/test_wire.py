@@ -3,7 +3,8 @@
 Claims:
     - vector and partition documents round-trip exactly
     - malformed documents raise InputError with exit code 2 semantics
-    - sqrt_decimal is correctly rounded at the last digit
+    - sqrt_decimal is correctly rounded at the last digit and accepts
+      exactly 0..MAX_DIGITS digits
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from jtx import (
     jt_norm_sq,
 )
 from jtx.wire import (
+    MAX_DIGITS,
     load_partition,
     load_vector,
     norm_result_doc,
@@ -115,6 +117,13 @@ class TestSqrtDecimal:
     def test_rejects_negative(self):
         with pytest.raises(InputError):
             sqrt_decimal(Fraction(-1), 3)
+
+    def test_digit_bounds(self):
+        assert sqrt_decimal(Fraction(2), MAX_DIGITS).startswith("1.41421356237")
+        assert len(sqrt_decimal(Fraction(2), MAX_DIGITS)) == MAX_DIGITS + 2
+        for digits in (-1, MAX_DIGITS + 1):
+            with pytest.raises(InputError):
+                sqrt_decimal(Fraction(2), digits)
 
 
 class TestNormResultDoc:
