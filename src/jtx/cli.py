@@ -23,10 +23,10 @@ from . import wire
 from .errors import InputError, InternalError, JtxError
 from .extremality import (
     _isolation_report,
+    _perturbation,
     certify_extreme,
     equal_sums_report,
     is_separated,
-    perturbation_witness,
     vanishes_on_all_norming,
 )
 from .greedy import consistent_with_greedy, greedy_partition
@@ -200,13 +200,14 @@ def _run(args: argparse.Namespace) -> dict:
 
     if args.command == "witness":
         u, v = parse_node(args.u), parse_node(args.v)
-        y, eps = perturbation_witness(x, u, v)
+        solver = NormSolver(x)
+        y, eps = _perturbation(solver, u, v)
         return {
             "u": u.path,
             "v": v.path,
             "epsilon": format_rational(eps),
             "y": wire.vector_to_doc(y),
-            "norm_sq": format_rational(jt_norm_sq(x).norm_sq),
+            "norm_sq": format_rational(solver.norm_sq()),
             "vanishes_on_all_norming": (
                 vanishes_on_all_norming(x, y, cap) if len(x.range()) <= cap else None
             ),

@@ -19,16 +19,9 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import DomainError, InternalError
-from .greedy import SupportTree, _support_s_values
+from .greedy import SupportTree
 from .norm import NormSolver, enumerate_norming
-from .tree import (
-    Node,
-    canonical_order,
-    comparable_pairs,
-    leq,
-    minimal_nodes,
-    parent_child_pairs,
-)
+from .tree import Node, canonical_order, comparable_pairs, parent_child_pairs, range_paths
 from .vector import TreeVector
 
 Pair = tuple[Node, Node]
@@ -196,11 +189,6 @@ def _isolation_report(solver: NormSolver) -> tuple[dict[Node, bool], bool, bool]
     return per_node, all(per_node.values()), solver.norm_sq() == x.l2_sq()
 
 
-def _prefix_paths(x: TreeVector) -> set[str]:
-    """Every node with support at or below it."""
-    return {n.path[:k] for n in x.support() for k in range(n.depth + 1)}
-
-
 def _descent_sums(x: TreeVector) -> dict[str, dict[str, Fraction]]:
     """Branch sums below every support node.
 
@@ -214,11 +202,12 @@ def _descent_sums(x: TreeVector) -> dict[str, dict[str, Fraction]]:
     down the support-free stretch below it adds x(p) to every exit it
     passes and to every entry of the maps of the support nodes where it
     stops. Each node is walked once and each map entry copied once, so
-    the cost is linear in the prefix set plus the output, where a copy
+    the cost is linear in the range plus the output, where a copy
     at every level would be quadratic in chain depth.
     """
-    active = _prefix_paths(x)
     values = {n.path: v for n, v in x.items()}
+    # below a support node, ran(x) holds exactly the nodes with support at or below
+    active = range_paths(values)
     memo: dict[str, dict[str, Fraction]] = {}
     for start in sorted(values, key=len, reverse=True):
         own = values[start]
@@ -255,36 +244,18 @@ def equal_sums_report(x: TreeVector) -> EqualSumsReport:
     """
     x.require_positive("equal_sums_report")
     per_node = _descent_sums(x)
+    st = SupportTree(x)
     branch_sums = {
         n: {Node(bottom): s for bottom, s in sorted(per_node[n.path].items())}
-        for n in canonical_order(x.support())
+        for n in st.nodes
     }
     holds = all(len(set(d.values())) <= 1 for d in branch_sums.values())
-
-    st = SupportTree(x)
-    s_vals = _support_s_values(x, st)
-    active = _prefix_paths(x)
-
-    def wedge_s(path: str) -> Fraction:
-        if path not in active:
-            return Fraction(0)
-        node = Node(path)
-        if node in s_vals:
-            return s_vals[node]
-        heads = minimal_nodes(n for n in st.nodes if leq(node, n))
-        return max(s_vals[h] for h in heads)
-
-    balance: dict[Node, tuple[Fraction, Fraction]] = {}
-    for n in canonical_order(x.support()):
-        if any(c in active for c in (n.path + "0", n.path + "1")):
-            balance[n] = (wedge_s(n.path + "0"), wedge_s(n.path + "1"))
-
-    if x.is_zero():
-        sigma = Fraction(0)
-    else:
-        sigma = max(
-            max(branch_sums[m].values()) for m in minimal_nodes(x.support())
-        )
+    balance = {
+        n: (st.s_at(n.child(0)), st.s_at(n.child(1)))
+        for n in st.nodes
+        if st.children[n]
+    }
+    sigma = max((max(branch_sums[m].values()) for m in st.roots), default=Fraction(0))
     return EqualSumsReport(
         holds=holds, branch_sums=branch_sums, sibling_balance=balance, sigma=sigma
     )

@@ -5,7 +5,8 @@ top-down: from each segment head, keep linking to an induced support
 child with the largest maximal downward segment sum (the "heaviest"
 child). "Children" here are induced support children, the minimal
 support nodes strictly below a node; the ambient tree's children play
-no role in this module.
+no role in this module. `SupportTree` derives the maximal downward
+segment sums once per vector; every operation reads them from there.
 
 All operations reject signed vectors rather than guessing semantics.
 """
@@ -18,31 +19,53 @@ from typing import Optional
 
 from .errors import DomainError
 from .norm import ForceSegment, NormSolver, Partition, jt_norm_sq
-from .tree import Node, Segment, canonical_order, leq, minimal_nodes
+from .tree import Node, Segment, canonical_order
 from .vector import TreeVector
 
 
 class SupportTree:
-    """The support of a vector as a forest under the induced-child relation."""
+    """The support of a vector as a forest under the induced-child relation.
+
+    s[n] is S(n), the maximal downward segment sum at support node n.
+    """
 
     def __init__(self, x: TreeVector):
         self.nodes = canonical_order(x.support())
         self.parent: dict[Node, Optional[Node]] = {}
         self.children: dict[Node, list[Node]] = {n: [] for n in self.nodes}
-        paths = {n.path for n in self.nodes}
+        self.paths = {n.path for n in self.nodes}
         for n in self.nodes:
-            parent = None
-            for k in range(n.depth - 1, -1, -1):
-                if n.path[:k] in paths:
-                    parent = Node(n.path[:k])
-                    break
+            parent = self._support_above(n.path)
             self.parent[n] = parent
             if parent is not None:
                 self.children[parent].append(n)
         self.roots = [n for n in self.nodes if self.parent[n] is None]
+        self.s: dict[Node, Fraction] = {}
+        for n in reversed(self.nodes):
+            best = max((self.s[c] for c in self.children[n]), default=Fraction(0))
+            self.s[n] = x.value(n) + max(Fraction(0), best)
 
-    def is_leaf(self, n: Node) -> bool:
-        return not self.children[n]
+    def _support_above(self, path: str) -> Optional[Node]:
+        """The deepest support node strictly above path, if any."""
+        for k in range(len(path) - 1, -1, -1):
+            if path[:k] in self.paths:
+                return Node(path[:k])
+        return None
+
+    def s_at(self, a: Node) -> Fraction:
+        """The largest S over the support nodes in the wedge at a; 0 if none.
+
+        S strictly decreases down every chain of a positive vector, so the
+        maximum sits on a minimal support node of the wedge: a itself, or
+        an induced child of the deepest support node above a (or a root).
+        """
+        if a in self.s:
+            return self.s[a]
+        above = self._support_above(a.path)
+        heads = self.roots if above is None else self.children[above]
+        return max(
+            (self.s[h] for h in heads if h.path.startswith(a.path)), default=Fraction(0)
+        )
 
 
 @dataclass
@@ -71,15 +94,6 @@ class GreedyViolation:
     better_sum: Fraction
 
 
-def _support_s_values(x: TreeVector, st: SupportTree) -> dict[Node, Fraction]:
-    """S at every support node: own value plus the heaviest child's S."""
-    out: dict[Node, Fraction] = {}
-    for n in sorted(st.nodes, key=Node.sort_key, reverse=True):
-        best = max((out[c] for c in st.children[n]), default=Fraction(0))
-        out[n] = x.value(n) + max(Fraction(0), best)
-    return out
-
-
 def max_segment_sum(x: TreeVector, a: Node) -> Fraction:
     """Largest sum of a downward segment starting at a.
 
@@ -89,13 +103,7 @@ def max_segment_sum(x: TreeVector, a: Node) -> Fraction:
     x.require_positive("max_segment_sum")
     if a not in x.range():
         raise DomainError(f"node {a.path!r} lies outside ran(x)")
-    st = SupportTree(x)
-    s = _support_s_values(x, st)
-    if a in s:
-        return s[a]
-    below = [n for n in st.nodes if leq(a, n)]
-    heads = minimal_nodes(below)
-    return max((s[h] for h in heads), default=Fraction(0))
+    return SupportTree(x).s_at(a)
 
 
 def greedy_partition(
@@ -111,7 +119,7 @@ def greedy_partition(
     if tie_policy not in ("lex-min", "lex-max"):
         raise DomainError(f"unknown tie policy {tie_policy!r}")
     st = SupportTree(x)
-    s = _support_s_values(x, st)
+    s = st.s
     trace = GreedyTrace(s_values=dict(s))
     for n in st.nodes:
         kids = st.children[n]
@@ -149,10 +157,9 @@ def recursive_norm_check(x: TreeVector, a: Node) -> bool:
     st = SupportTree(x)
     if a not in st.children:
         raise DomainError(f"node {a.path!r} is not in supp(x)")
-    s = _support_s_values(x, st)
     kids = st.children[a]
     lhs = jt_norm_sq(x.wedge(a)).norm_sq
-    middle = 2 * x.value(a) * max((s[c] for c in kids), default=Fraction(0))
+    middle = 2 * x.value(a) * max((st.s[c] for c in kids), default=Fraction(0))
     rhs = x.value(a) ** 2 + middle + sum(
         (jt_norm_sq(x.wedge(c)).norm_sq for c in kids), Fraction(0)
     )
@@ -170,15 +177,14 @@ def consistent_with_greedy(
     """
     x.require_positive("consistent_with_greedy")
     st = SupportTree(x)
-    s = _support_s_values(x, st)
-    supp = {n.path for n in st.nodes}
+    s = st.s
     violations: list[GreedyViolation] = []
     for seg in p.sorted_segments():
         b = seg.bottom.path
         chain = [
             Node(b[:k])
             for k in range(seg.top.depth, seg.bottom.depth + 1)
-            if b[:k] in supp
+            if b[:k] in st.paths
         ]
         for u, nxt in zip(chain, chain[1:]):
             best = max(s[c] for c in st.children[u])
@@ -200,9 +206,10 @@ def forced_segment_is_norming(x: TreeVector, s: Segment) -> bool:
     """
     x.require_positive("forced_segment_is_norming")
     head = s.top
-    if head not in minimal_nodes(x.support()):
+    st = SupportTree(x)
+    if head not in st.roots:
         raise DomainError(f"segment top {head.path!r} is not a minimal support node")
-    if x.segment_sum(s) != max_segment_sum(x, head):
+    if x.segment_sum(s) != st.s[head]:
         raise DomainError("segment sum does not attain the maximal segment sum")
     solver = NormSolver(x)
     return solver.norm_sq((ForceSegment(s),)) == solver.norm_sq()

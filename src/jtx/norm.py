@@ -86,12 +86,6 @@ class Partition:
     def sorted_segments(self) -> list[Segment]:
         return sorted(self.segments, key=Segment.sort_key)
 
-    def segment_containing(self, node: Node) -> Segment | None:
-        for s in self.sorted_segments():
-            if node in s:
-                return s
-        return None
-
     def __iter__(self):
         return iter(self.sorted_segments())
 
@@ -141,11 +135,10 @@ def score(x: TreeVector, p: Partition) -> Fraction:
 class _SepSpec:
     """Comparable separation pairs, indexed for the DP bit masks."""
 
-    __slots__ = ("upper", "lower", "upper_at", "lower_at")
+    __slots__ = ("upper", "upper_at", "lower_at")
 
     def __init__(self, pairs: list[tuple[str, str]]):
         self.upper = [u for u, _ in pairs]
-        self.lower = [v for _, v in pairs]
         self.upper_at: dict[str, tuple[int, ...]] = {}
         self.lower_at: dict[str, tuple[int, ...]] = {}
         for i, (u, v) in enumerate(pairs):
@@ -188,8 +181,10 @@ class NormSolver:
     """DP engine bound to one vector; answers many constrained queries.
 
     Building the solver precomputes the scaled entries and the range
-    forest once, so callers that probe many constraint sets (gap scans,
-    separation checks) pay the structural cost a single time.
+    forest and solves the unconstrained DP, so callers that probe many
+    constraint sets (gap scans, separation checks) pay the structural
+    cost a single time. The witness of the unconstrained solve is built
+    on the first solve() and kept.
 
     The unconstrained solve keeps its DP tables, and the parent-child
     gap and node-isolation queries are answered from them. Separating a
@@ -220,25 +215,22 @@ class NormSolver:
         self.roots = sorted(
             (p for p in ran if not p or p[:-1] not in ran), key=lambda p: (len(p), p)
         )
-        # The unconstrained DP, solved on first use: every node's table
-        # and each component root's best (score, closure choice).
-        self._tables: dict[str, _Table] | None = None
-        self._root_best: dict[str, tuple] = {}
-        self._total = 0
-        self._base: NormResult | None = None
+        # The unconstrained DP: every node's table, each component root's
+        # best (score, closure choice) and their total.
+        self._tables: dict[str, _Table] = {}
+        self._root_best = self._dp(_NO_SEP, _NO_FORCED, self._tables)
+        self._total = sum(best[0] for best in self._root_best.values())
+        self._base: NormResult | None = None  # its witness, built on first solve()
 
     # -- public ---------------------------------------------------------
 
     def solve(self, constraints: Iterable[Constraint] = ()) -> NormResult:
-        sep, forced = self._normalize(constraints)
-        if not sep.upper and not forced.segments:
-            if self._base is None:
-                self._solve_base()
-                self._base = self._result(self._tables, self._root_best)
-            return self._base
-        tables: dict[str, _Table] = {}
-        bests = {root: self._dp(root, sep, forced, tables) for root in self.roots}
-        return self._result(tables, bests)
+        tables, bests = self._solve(*self._normalize(constraints))
+        if tables is not self._tables:
+            return self._result(tables, bests)
+        if self._base is None:
+            self._base = self._result(tables, bests)
+        return self._base
 
     def norm_sq(self, constraints: Iterable[Constraint] = ()) -> Fraction:
         """solve(constraints).norm_sq, without building the witness."""
@@ -257,12 +249,11 @@ class NormSolver:
             upper, lower = v.path, u.path
         else:
             return Fraction(0)  # incomparable nodes never share a segment
-        base = self._score()
         if len(lower) == len(upper) + 1:
             kept = self._closed(lower) + self._outside(lower)
         else:
             kept = self._score((SeparatePair(u, v),))
-        return Fraction(base - kept, self.den * self.den)
+        return Fraction(self._total - kept, self.den * self.den)
 
     def isolation_gap(self, a: Node) -> Fraction:
         """norm_sq minus the best score among partitions containing [a, a]."""
@@ -273,7 +264,7 @@ class NormSolver:
             + sum(self._closed(c) for c in self.children[p])
             + self._outside(p)
         )
-        return Fraction(self._score() - kept, self.den * self.den)
+        return Fraction(self._total - kept, self.den * self.den)
 
     # -- constraint intake ------------------------------------------------
 
@@ -300,12 +291,11 @@ class NormSolver:
                 forced.add(c.segment)
             else:
                 raise DomainError(f"unknown constraint {c!r}")
-        forced_list = sorted(forced, key=Segment.sort_key)
-        for i, s1 in enumerate(forced_list):
-            for s2 in forced_list[i + 1 :]:
-                if not segments_disjoint(s1, s2):
-                    raise InfeasibleError(f"forced segments overlap: {s1} and {s2}")
-        return _SepSpec(sorted(pairs)), _ForcedSpec(forced_list)
+        try:
+            Partition(frozenset(forced))
+        except InvalidPartitionError as exc:
+            raise InfeasibleError(f"forced {exc}") from None
+        return _SepSpec(sorted(pairs)), _ForcedSpec(sorted(forced, key=Segment.sort_key))
 
     def _require_in_ran(self, node: Node) -> None:
         if node.path not in self.ran:
@@ -315,24 +305,21 @@ class NormSolver:
 
     def _score(self, constraints: Iterable[Constraint] = ()) -> int:
         """The scaled integer optimum under the constraints; no witness."""
-        sep, forced = self._normalize(constraints)
-        if not sep.upper and not forced.segments:
-            self._solve_base()
-            return self._total
-        return sum(self._dp(root, sep, forced, {})[0] for root in self.roots)
+        _, bests = self._solve(*self._normalize(constraints))
+        return sum(best[0] for best in bests.values())
 
-    def _solve_base(self) -> None:
-        if self._tables is not None:
-            return
+    def _solve(self, sep: _SepSpec, forced: _ForcedSpec) -> tuple[dict, dict]:
+        """Every node's table and each component root's best closure.
+
+        The empty constraint set returns the tables solved at construction.
+        """
+        if not sep.upper and not forced.segments:
+            return self._tables, self._root_best
         tables: dict[str, _Table] = {}
-        bests = {root: self._dp(root, _NO_SEP, _NO_FORCED, tables) for root in self.roots}
-        self._root_best = bests
-        self._total = sum(best[0] for best in bests.values())
-        self._tables = tables
+        return tables, self._dp(sep, forced, tables)
 
     def _closed(self, c: str) -> int:
         """Best unconstrained score of subtree(c) with nothing open above c."""
-        self._solve_base()
         return self._closed_best(c, self._tables[c], _NO_FORCED)[0]
 
     def _outside(self, v: str) -> int:
@@ -343,7 +330,6 @@ class NormSolver:
         path tables index children after the drop, so they are scored
         but never reconstructed.
         """
-        self._solve_base()
         tables = self._tables
         child, table, p = v, None, v[:-1]
         while child and p in self.ran:
@@ -361,14 +347,16 @@ class NormSolver:
 
     # -- the dynamic program ----------------------------------------------
 
-    def _dp(self, root: str, sep: _SepSpec, forced: _ForcedSpec, tables: dict) -> tuple:
-        """Fill the tables of root's component; return the root's best closure."""
-        for p in self._postorder(root):
-            tables[p] = self._visit(p, self.children[p], tables, sep, forced)
-        best = self._closed_best(root, tables[root], forced)
-        if best is None:
-            raise InfeasibleError("no partition satisfies the constraint set")
-        return best
+    def _dp(self, sep: _SepSpec, forced: _ForcedSpec, tables: dict) -> dict[str, tuple]:
+        """Fill every node's table; return each component root's best closure."""
+        bests = {}
+        for root in self.roots:
+            for p in self._postorder(root):
+                tables[p] = self._visit(p, self.children[p], tables, sep, forced)
+            bests[root] = self._closed_best(root, tables[root], forced)
+            if bests[root] is None:
+                raise InfeasibleError("no partition satisfies the constraint set")
+        return bests
 
     def _result(self, tables: dict, bests: dict) -> NormResult:
         total = 0

@@ -7,7 +7,8 @@ Claims:
     - JTX_ORACLE_CAP and --oracle-cap control the enumeration cap
     - --digits accepts 0..1000 and vector values reject exponent forms,
       both with exit 2
-    - isolatable builds one solver per command
+    - isolatable builds one solver per command, and witness one solver on
+      the input vector
 """
 
 from __future__ import annotations
@@ -249,6 +250,25 @@ class TestOtherCommands:
         assert code == 0
         assert json.loads(out)["all_isolatable"] is False
         assert len(built) == 1
+
+    def test_witness_builds_one_solver_on_x(self, vec_file, capsys, monkeypatch):
+        from jtx.norm import NormSolver
+        from jtx.vector import TreeVector
+
+        built = []
+        init = NormSolver.__init__
+
+        def counting_init(self, x):
+            built.append(x)
+            init(self, x)
+
+        monkeypatch.setattr(NormSolver, "__init__", counting_init)
+        code, out, _ = _run(capsys, ["witness", vec_file, "--u", "", "--v", "0"])
+        assert code == 0
+        assert json.loads(out)["norm_sq"] == "5"
+        x = TreeVector.from_dict(EXAMPLE["vector"])
+        assert built.count(x) == 1  # every other solver checks x + y or x - y
+        assert len(built) == 4
 
     def test_witness(self, vec_file, capsys):
         _, out, _ = _run(capsys, ["witness", vec_file, "--u", "", "--v", "0"])

@@ -45,7 +45,7 @@ from jtx import (
     score,
     segments_disjoint,
 )
-from jtx.greedy import GreedyViolation, _support_s_values
+from jtx.greedy import GreedyViolation
 
 EX = TreeVector.from_dict({"": 1, "00": 1, "01": 1})
 LOPSIDED = TreeVector.from_dict({"": 1, "0": 2, "1": 1})
@@ -242,7 +242,7 @@ class TestConsistency:
 def _consistent_by_support_scan(x: TreeVector, p: Partition):
     """Reference: each segment's chain found by scanning the whole support."""
     st_ = SupportTree(x)
-    s = _support_s_values(x, st_)
+    s = st_.s
     violations = []
     for seg in p.sorted_segments():
         chain = [n for n in canonical_order(st_.nodes) if n in seg]

@@ -231,6 +231,16 @@ class TestConstrained:
                     IsolateNode(Node("0")),
                 },
             )
+        # the overlapping pair is not adjacent in canonical order: [0, 0] sits between
+        with pytest.raises(InfeasibleError):
+            constrained_norm_sq(
+                TreeVector.from_dict({"": 1, "0": 1, "10": 1}),
+                [
+                    ForceSegment(Segment(Node(""), Node("10"))),
+                    ForceSegment(Segment(Node("1"), Node("1"))),
+                    ForceSegment(Segment(Node("0"), Node("0"))),
+                ],
+            )
 
     def test_constraint_outside_range(self):
         with pytest.raises(DomainError):
