@@ -18,6 +18,19 @@ lower score) collapse automatically, and a node may also be left out of
 every segment. Scalars are rescaled to integers by the common
 denominator of the entries, which keeps every comparison exact.
 
+Separation pairs ride on the open segment as a mask: the sorted tuple of
+the indices of the pairs whose lower node it holds. Keys (open sum, mask)
+therefore sort natively, and that order fixes every tie-break below.
+
+Long sparse branches cost O(1) per node (unary-path compression, as in
+Patricia tries). A stretch node lies outside the support, has exactly
+one range child, is no endpoint of a separation pair, and neither it
+nor its child lies on a forced segment. Rebuilding its table would copy
+its child's open entries with the same keys and scores, so it shares the
+child's open entries and adds only its done entry; reconstruction steps
+from it to the child with the same key. The constrained DP and the gap
+queries below visit nodes through the same code and get the rule too.
+
 Parent-child separation gaps and node isolation reuse the unconstrained
 tables. Separating a child v from its parent cuts the edge above v, so
 gap(parent(v), v) = norm - closed(v) - outside(v): closed(v) is read
@@ -133,7 +146,12 @@ def score(x: TreeVector, p: Partition) -> Fraction:
 
 
 class _SepSpec:
-    """Comparable separation pairs, indexed for the DP bit masks."""
+    """Comparable separation pairs, indexed for the DP masks.
+
+    Pair i is (upper[i], lower node); upper_at and lower_at map a node to
+    the increasing tuple of the pairs it ends, so the masks built from
+    them stay sorted tuples of pair indices.
+    """
 
     __slots__ = ("upper", "upper_at", "lower_at")
 
@@ -172,8 +190,10 @@ _NO_FORCED = _ForcedSpec([])
 
 # A node's DP table: ("done" entry or None, open-segment entries).
 # done:  (score, choice) with no segment passing up through the node.
-# opens: {(open sum, live pair mask): (score, choice)} with one segment
-#        open through the node; its square is not yet counted in score.
+# opens: {(open sum, mask): (score, choice)} with one segment open through
+#        the node; its square is not yet counted in score. The mask is the
+#        sorted tuple of the pairs whose lower node that segment holds. A
+#        stretch node's opens is its child's dict, choices included.
 _Table = tuple
 
 
@@ -202,6 +222,10 @@ class NormSolver:
     other components contribute their cached bests. A query therefore
     costs O(depth * table) instead of a DP over the whole range, and
     builds no witness. Any other constraint set runs the constrained DP.
+
+    Every DP pass, the ancestor path of outside(v) included, lets a
+    support-free stretch node share its child's open entries at O(1)
+    cost; the module docstring states the rule.
     """
 
     def __init__(self, x: TreeVector):
@@ -382,8 +406,8 @@ class NormSolver:
         return out
 
     @staticmethod
-    def _sorted_keys(opens: dict) -> list[tuple[int, frozenset]]:
-        return sorted(opens, key=lambda k: (k[0], tuple(sorted(k[1]))))
+    def _sorted_keys(opens: dict) -> list[tuple[int, tuple[int, ...]]]:
+        return sorted(opens)
 
     def _close_allowed(self, p: str, forced: _ForcedSpec) -> bool:
         idx = forced.member_of.get(p)
@@ -411,10 +435,24 @@ class NormSolver:
     def _visit(
         self, p: str, kids: list[str], tables: dict, sep: _SepSpec, forced: _ForcedSpec
     ) -> _Table:
+        start_mask = sep.lower_at.get(p, ())
+        check_pairs = frozenset(sep.upper_at.get(p, ()))
+        if (
+            len(kids) == 1
+            and p not in self.supp
+            and not start_mask
+            and not check_pairs
+            and p not in forced.member_of
+            and kids[0] not in forced.member_of
+        ):
+            # A support-free stretch node would rebuild its child's open
+            # entries with the same keys and scores, so it shares them.
+            c = kids[0]
+            kc = self._closed_best(c, tables[c], forced)
+            return (None if kc is None else (kc[0], ("done", (kc[1],))), tables[c][1])
+
         kid_closed = [self._closed_best(c, tables[c], forced) for c in kids]
         xv = self.val.get(p, 0)
-        start_mask = frozenset(sep.lower_at.get(p, ()))
-        check_bits = frozenset(sep.upper_at.get(p, ()))
 
         all_closed = None
         if all(kc is not None for kc in kid_closed):
@@ -423,7 +461,7 @@ class NormSolver:
                 tuple(kc[1] for kc in kid_closed),
             )
 
-        opens: dict[tuple[int, frozenset], tuple[int, tuple]] = {}
+        opens: dict[tuple[int, tuple[int, ...]], tuple[int, tuple]] = {}
 
         def offer(key, entry):
             old = opens.get(key)
@@ -444,10 +482,12 @@ class NormSolver:
             c_opens = tables[c][1]
             for key in self._sorted_keys(c_opens):
                 s, mask = key
-                if mask & check_bits:
+                if check_pairs and not check_pairs.isdisjoint(mask):
                     continue  # the segment would contain both nodes of a pair
-                new_key = (s + xv, mask | start_mask)
-                offer(new_key, (c_opens[key][0] + rest, ("ext", child_index, key, closures)))
+                if start_mask:  # a pair has one lower node, so no index repeats
+                    mask = tuple(sorted(mask + start_mask))
+                entry = (c_opens[key][0] + rest, ("ext", child_index, key, closures))
+                offer((s + xv, mask), entry)
 
         fidx = forced.member_of.get(p)
         if fidx is not None:
@@ -496,7 +536,11 @@ class NormSolver:
                 continue
             p, k = top, cl[1]
             while True:
-                choice = tables[p][1][k][1]
+                opens, kids = tables[p][1], self.children[p]
+                if len(kids) == 1 and tables[kids[0]][1] is opens:
+                    p = kids[0]  # a stretch node: the same key continues below
+                    continue
+                choice = opens[k][1]
                 if choice[0] == "start":
                     push(p, choice[1])
                     segments.append(Segment(Node(top), Node(p)))

@@ -15,11 +15,19 @@ Claims:
       tables equal the constrained DP, and the score-only path equals
       solve(...).norm_sq (hypothesis differential suites)
     - witness reconstruction runs at depths past the recursion limit
+    - support-free stretch nodes that share their child's open entries
+      leave every answer as the DP that rebuilds each node gave it:
+      norm, witness bytes, every gap and isolation gap, constrained
+      solves with constraints on and just below stretches, and the key
+      order and scores of every table under multi-pair constraint sets
+    - inside a support-free stretch, the gap above a node, the gap below
+      it and its isolation gap are equal
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import random
 import sys
 from fractions import Fraction
@@ -57,6 +65,7 @@ from jtx import (
     score,
     segments_disjoint,
 )
+from jtx.wire import norm_result_doc
 
 
 def _all_canonical_partitions(x: TreeVector):
@@ -572,3 +581,281 @@ class TestDeepChains:
             sys.setrecursionlimit(old)
         assert result.norm_sq == len(levels)
         assert result.witness == Partition(frozenset(Segment(n, n) for n in x.support()))
+
+
+# -- stretch pass-through: differential against the DP that rebuilds every node --
+
+
+class _RebuildEveryNodeSolver(NormSolver):
+    """The DP as it was before stretch pass-through, kept as the reference.
+
+    Every node rebuilds its open entries, masks are frozensets of pair
+    indices, and keys sort by (open sum, sorted mask tuple).
+    """
+
+    @staticmethod
+    def _sorted_keys(opens):
+        return sorted(opens, key=lambda k: (k[0], tuple(sorted(k[1]))))
+
+    def _visit(self, p, kids, tables, sep, forced):
+        kid_closed = [self._closed_best(c, tables[c], forced) for c in kids]
+        xv = self.val.get(p, 0)
+        start_mask = frozenset(sep.lower_at.get(p, ()))
+        check_bits = frozenset(sep.upper_at.get(p, ()))
+
+        all_closed = None
+        if all(kc is not None for kc in kid_closed):
+            all_closed = (
+                sum(kc[0] for kc in kid_closed),
+                tuple(kc[1] for kc in kid_closed),
+            )
+
+        opens = {}
+
+        def offer(key, entry):
+            old = opens.get(key)
+            if old is None or entry[0] > old[0]:
+                opens[key] = entry
+
+        def extend_through(child_index):
+            others = [kc for j, kc in enumerate(kid_closed) if j != child_index]
+            if any(kc is None for kc in others):
+                return
+            rest = sum(kc[0] for kc in others)
+            closures = tuple(
+                None if j == child_index else kid_closed[j][1] for j in range(len(kids))
+            )
+            c = kids[child_index]
+            c_opens = tables[c][1]
+            for key in self._sorted_keys(c_opens):
+                s, mask = key
+                if mask & check_bits:
+                    continue
+                new_key = (s + xv, mask | start_mask)
+                offer(new_key, (c_opens[key][0] + rest, ("ext", child_index, key, closures)))
+
+        fidx = forced.member_of.get(p)
+        if fidx is not None:
+            if forced.bottom[fidx] == p:
+                if all_closed is not None:
+                    opens[(xv, start_mask)] = (all_closed[0], ("start", all_closed[1]))
+            else:
+                chain_child = forced.bottom[fidx][: len(p) + 1]
+                extend_through(kids.index(chain_child))
+            return (None, opens)
+
+        done = None
+        if all_closed is not None:
+            done = (all_closed[0], ("done", all_closed[1]))
+            if p in self.supp:
+                offer((xv, start_mask), (all_closed[0], ("start", all_closed[1])))
+        for i, c in enumerate(kids):
+            if c in forced.member_of:
+                continue
+            extend_through(i)
+        return (done, opens)
+
+
+def _bits(depth: int):
+    return st.integers(0, 2**depth - 1).map(lambda b: format(b, f"0{depth}b") if depth else "")
+
+
+@st.composite
+def stretch_vectors(draw) -> TreeVector:
+    """Signed vectors whose ranges hold long support-free stretches.
+
+    Sparse chains to depth 300, sparse trees of up to three long branches
+    off a common trunk, and the forests and full trees of `support_paths`.
+    """
+    kind = draw(st.sampled_from(["chain", "tree", "small"]))
+    if kind == "chain":
+        branch = draw(st.one_of(st.integers(1, 30), st.integers(200, 300)).flatmap(_bits))
+        levels = draw(st.sets(st.integers(0, len(branch)), min_size=1, max_size=6))
+        paths = {branch[:k] for k in levels}
+    elif kind == "tree":
+        trunk = draw(st.integers(0, 40).flatmap(_bits))
+        paths = {trunk} if draw(st.booleans()) else set()
+        for _ in range(draw(st.integers(1, 3))):
+            branch = trunk + draw(st.integers(1, 40).flatmap(_bits))
+            levels = draw(
+                st.sets(st.integers(len(trunk) + 1, len(branch)), min_size=1, max_size=3)
+            )
+            paths |= {branch[:k] for k in levels}
+    else:
+        paths = set(draw(support_paths()))
+    den = draw(st.integers(1, 4))
+    nonzero = st.integers(-3, 3).filter(bool)
+    return TreeVector.from_dict(
+        {p: Fraction(draw(nonzero), den) for p in sorted(paths)}, max_depth=400
+    )
+
+
+def _stretch_nodes(x: TreeVector) -> list[str]:
+    """Range nodes outside the support with exactly one range child."""
+    ran = {n.path for n in x.range()}
+    supp = {n.path for n in x.support()}
+    return sorted(
+        (p for p in ran if p not in supp and (p + "0" in ran) != (p + "1" in ran)),
+        key=lambda p: (len(p), p),
+    )
+
+
+def _targets(x: TreeVector) -> list[str]:
+    """Stretch nodes and the range node just below each of them."""
+    ran = {n.path for n in x.range()}
+    stretch = _stretch_nodes(x)
+    below = {c for p in stretch for c in (p + "0", p + "1") if c in ran}
+    return sorted(set(stretch) | below, key=lambda p: (len(p), p))
+
+
+@st.composite
+def stretch_constraints(draw, x: TreeVector, kinds=("pair", "isolate", "force")):
+    """One constraint with an endpoint or an interior node on a target node."""
+    ran = sorted((n.path for n in x.range()), key=lambda p: (len(p), p))
+    t = draw(st.sampled_from(_targets(x) or ran))
+    above = [p for p in ran if t.startswith(p)]  # t itself included
+    below = [p for p in ran if p.startswith(t)]
+    kind = draw(st.sampled_from(kinds))
+    others = [p for p in above + below if p != t]
+    if kind == "pair" and others:
+        return SeparatePair(Node(t), Node(draw(st.sampled_from(others))))
+    if kind != "force":
+        return IsolateNode(Node(t))
+    role = draw(st.sampled_from(["top", "bottom", "interior"]))
+    top = t if role == "top" else draw(st.sampled_from(above[:-1] or above))
+    bottom = t if role == "bottom" else draw(st.sampled_from(below[1:] or below))
+    return ForceSegment(Segment(Node(top), Node(bottom)))
+
+
+def _doc(result) -> str:
+    return json.dumps(norm_result_doc(result), sort_keys=True)
+
+
+_STRETCH = settings(max_examples=80, deadline=None, derandomize=True, database=None)
+
+# A multi-pair set whose witness follows the sorted-tuple mask order: int
+# bitmasks ({1} before {0, 2}) would break a tie toward another witness.
+TUPLE_ORDER_WITNESS = (
+    TreeVector.from_dict(
+        {"": 2, "1": 1, "00": -2, "01": -1, "11": 2, "001": -1, "110": 2, "111": 2}
+    ),
+    [SeparatePair(Node(""), Node("11")), SeparatePair(Node("1"), Node("11")),
+     SeparatePair(Node(""), Node("111"))],
+)
+
+
+class TestStretchPassThrough:
+    """Support-free stretch nodes share their child's open entries.
+
+    Each check runs the solver against `_RebuildEveryNodeSolver`, the DP
+    that rebuilds every node's table with frozenset masks.
+    """
+
+    @_STRETCH
+    @given(stretch_vectors())
+    @example(FOREST)
+    @example(TreeVector.from_dict({"": 1, "0101": -2, "0101100": 3}))
+    def test_unconstrained_answers_match_reference(self, x):
+        ref, solver = _RebuildEveryNodeSolver(x), NormSolver(x)
+        assert _doc(solver.solve()) == _doc(ref.solve())
+        ran = x.range()
+        for u, v in parent_child_pairs(ran):
+            assert solver.gap(u, v) == ref.gap(u, v)
+        for a in ran:
+            assert solver.isolation_gap(a) == ref.isolation_gap(a)
+
+    @_STRETCH
+    @given(stretch_vectors(), st.data())
+    def test_constrained_solves_match_reference(self, x, data):
+        for _ in range(3):
+            constraints = data.draw(st.lists(stretch_constraints(x), min_size=1, max_size=3))
+            try:
+                expected = _doc(_RebuildEveryNodeSolver(x).solve(constraints))
+            except InfeasibleError:
+                with pytest.raises(InfeasibleError):
+                    constrained_norm_sq(x, constraints)
+                continue
+            assert _doc(constrained_norm_sq(x, constraints)) == expected
+
+    # One case per condition of the rule: each input has a node that
+    # meets all the other conditions and fails this one.
+    @pytest.mark.parametrize(
+        "entries, constraints",
+        [
+            ({"": 1, "00": 2, "01": -1}, []),  # two range children ("0")
+            ({"": 1, "0": 2, "000": -1}, []),  # in the support ("0")
+            ({"": 2, "000": 3}, [SeparatePair(Node(""), Node("00"))]),  # lower endpoint
+            ({"": 2, "000": 3}, [SeparatePair(Node("0"), Node("000"))]),  # upper endpoint
+            ({"": 2, "000": 3}, [ForceSegment(Segment(Node("0"), Node("00")))]),  # forced
+            ({"": 3, "000": 2}, [ForceSegment(Segment(Node("00"), Node("000")))]),  # its child
+        ],
+    )
+    def test_each_condition_of_the_rule(self, entries, constraints):
+        x = TreeVector.from_dict(entries)
+        expected = _RebuildEveryNodeSolver(x).solve(constraints)
+        assert _doc(NormSolver(x).solve(constraints)) == _doc(expected)
+
+    @_STRETCH
+    @given(stretch_vectors(), st.data())
+    def test_multi_pair_key_order_matches_reference(self, x, data):
+        pairs = st.lists(stretch_constraints(x, kinds=("pair",)), min_size=2, max_size=4)
+        _assert_tables_match(x, data.draw(pairs))
+
+    def test_pinned_witness_follows_the_tuple_order(self):
+        x, constraints = TUPLE_ORDER_WITNESS
+        _assert_tables_match(x, constraints)
+        witness = constrained_norm_sq(x, constraints).witness
+        assert Segment(Node("11"), Node("111")) in witness.segments
+
+
+def _assert_tables_match(x: TreeVector, constraints) -> None:
+    """Every table's keys sort as the reference's do, with equal scores,
+    and the witness documents are byte-equal."""
+    ref, solver = _RebuildEveryNodeSolver(x), NormSolver(x)
+    try:
+        ref_tables, _ = ref._solve(*ref._normalize(constraints))
+    except InfeasibleError:
+        with pytest.raises(InfeasibleError):
+            constrained_norm_sq(x, constraints)
+        return
+    tables, _ = solver._solve(*solver._normalize(constraints))
+    assert tables.keys() == ref_tables.keys()
+    for p, (ref_done, ref_opens) in ref_tables.items():
+        done, opens = tables[p]
+        assert (done is None) == (ref_done is None)
+        assert done is None or done[0] == ref_done[0]
+        keys = solver._sorted_keys(opens)
+        ref_keys = ref._sorted_keys(ref_opens)
+        assert keys == [(s, tuple(sorted(m))) for s, m in ref_keys]
+        assert [opens[k][0] for k in keys] == [ref_opens[k][0] for k in ref_keys]
+    assert _doc(constrained_norm_sq(x, constraints)) == _doc(ref.solve(constraints))
+
+
+class TestStretchLaw:
+    def test_gaps_and_isolation_agree_along_a_stretch(self):
+        """Inside a support-free stretch, the gap above a node, the gap
+        below it and its isolation gap are one number."""
+        rng = random.Random(6)
+        checked = 0
+        for _ in range(300):
+            depth = rng.randint(2, 60)
+            branches = [
+                format(rng.getrandbits(depth), f"0{depth}b") for _ in range(rng.randint(1, 3))
+            ]
+            paths = {b[:k] for b in branches for k in range(depth + 1) if rng.random() < 0.08}
+            paths.add(branches[0])
+            x = TreeVector.from_dict(
+                {p: Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
+                 for p in paths},
+                max_depth=depth,
+            )
+            ran = {n.path for n in x.range()}
+            solver = NormSolver(x)
+            for p in _stretch_nodes(x):
+                assert p and p[:-1] in ran  # a stretch node is never a component root
+                (c,) = [c for c in (p + "0", p + "1") if c in ran]
+                above = solver.gap(Node(p[:-1]), Node(p))
+                assert solver.gap(Node(p), Node(c)) == above
+                assert solver.isolation_gap(Node(p)) == above
+                checked += 1
+        assert checked >= 5000
