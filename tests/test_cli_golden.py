@@ -1,10 +1,12 @@
 """Golden CLI documents: every command's bytes stay exactly as recorded.
 
 Claims:
-    - for three fixed vectors (the README example, the separated
-      counterexample e_root/4 + e_1 + e_00, and a signed, non-separated
-      forest), all 11 commands print the recorded exit code, stdout and
-      stderr bytes, and `dot` writes the recorded DOT text
+    - for four fixed vectors (the README example, the separated
+      counterexample e_root/4 + e_1 + e_00, a signed, non-separated
+      forest, and a sparse positive chain of depth 29 that branches at
+      depth 16, whose gap and witness pairs are edges inside support-free
+      stretches), all 11 commands print the recorded exit code, stdout
+      and stderr bytes, and `dot` writes the recorded DOT text
 
 The documents live in cli_golden.json next to this file. A change that
 is meant to alter an output rewrites them with
@@ -49,6 +51,19 @@ VECTORS = {
         ("1", "10"),
         ("1", "10"),
         [("00", "000"), ("01", "01"), ("1", "101")],
+    ),
+    "sparse-branching-chain": (
+        {
+            "": "1",
+            "011010011101": "2",
+            "01101001110101100110": "1",
+            "011010011101011001101001": "1",
+            "01101001110101101011001010110": "3",
+        },
+        ("01101001110101", "011010011101011"),
+        ("0110", "01101"),
+        [("", "01101001110101101011001010110"),
+         ("01101001110101100110", "011010011101011001101001")],
     ),
 }
 
