@@ -22,24 +22,28 @@ Separation pairs ride on the open segment as a mask: the sorted tuple of
 the indices of the pairs whose lower node it holds. Keys (open sum, mask)
 therefore sort natively, and that order fixes every tie-break below.
 
-Long sparse branches cost O(1) per node (unary-path compression, as in
-Patricia tries). A stretch node lies outside the support, has exactly
-one range child, is no endpoint of a separation pair, and neither it
-nor its child lies on a forced segment. Rebuilding its table would copy
-its child's open entries with the same keys and scores, so it shares the
-child's open entries and adds only its done entry; reconstruction steps
-from it to the child with the same key. The constrained DP and the gap
-queries below visit nodes through the same code and get the rule too.
+The DP runs on the skeleton of the range: the support plus every range
+node with two range children, at most 2 |supp| - 1 nodes, each linked
+to its nearest ancestor among them (unary-path compression, as in
+Patricia tries). Every other range node lies on a support-free stretch:
+it carries 0 and has one range child, and no canonical segment ends on
+it, so its table would repeat its child's entries with the same keys
+and scores. Skipping it is therefore exact, and a pass, a witness or a
+cut query costs O(|skeleton| * table) however deep the chains run. A
+constrained solve splices the constraint nodes off the skeleton (pair
+endpoints, forced tops and bottoms) into the forest for that solve.
 
-Parent-child separation gaps and node isolation reuse the unconstrained
-tables. Separating a child v from its parent cuts the edge above v, so
+Gaps and node isolation reuse the unconstrained tables. Separating a
+child v from its parent cuts the edge above v, so
 gap(parent(v), v) = norm - closed(v) - outside(v): closed(v) is read
 from v's table, and outside(v), the best score on ran minus subtree(v),
-re-visits only the ancestor path of v against the cached tables of
-everything else. Isolating a node cuts the edges above and below it in
+re-visits only the skeleton ancestors of v against the cached tables
+of everything else. Every edge of a stretch cuts like the edge above
+the skeleton node below it. A partition separates comparable u < v iff
+it cuts an edge between them, so gap(u, v) is the least parent-child
+gap on that path. Isolating a node cuts the edges above and below it in
 the same way. Witness reconstruction and score-only queries share the
-same tables; the constrained DP stays the path for every other
-constraint set.
+same tables; the constrained DP serves every other constraint set.
 
 A brute-force oracle enumerates all canonical families outright on
 small instances and shares no shortcut with the dynamic program.
@@ -53,10 +57,12 @@ prefer extending toward the bit-0 child.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Union
+from os.path import commonprefix
+from typing import Iterable, NamedTuple, Union
 
 from .errors import CapError, DomainError, InfeasibleError, InvalidPartitionError
 from .tree import Node, Segment, leq, range_paths, segments_disjoint
@@ -192,40 +198,86 @@ _NO_FORCED = _ForcedSpec([])
 # done:  (score, choice) with no segment passing up through the node.
 # opens: {(open sum, mask): (score, choice)} with one segment open through
 #        the node; its square is not yet counted in score. The mask is the
-#        sorted tuple of the pairs whose lower node that segment holds. A
-#        stretch node's opens is its child's dict, choices included.
+#        sorted tuple of the pairs whose lower node that segment holds.
 _Table = tuple
+
+
+class _Forest(NamedTuple):
+    """The nodes one DP pass visits, each linked to its nearest ancestor among them.
+
+    order lists the nodes in lexicographic order, so each node follows
+    its ancestors; kids maps a node to its nearest descendants in the
+    forest, bit-0 side first; up maps a node to its nearest proper
+    ancestor in the forest; roots are the nodes without one.
+    """
+
+    order: list[str]
+    kids: dict[str, list[str]]
+    up: dict[str, str]
+    roots: list[str]
+
+
+def _forest(order: list[str]) -> _Forest:
+    """Link lexicographically sorted range nodes into a forest.
+
+    A stack holds the ancestors of the current node among those already
+    seen; after popping the ones that are no prefix of it, its top is
+    the nearest. Comparable range nodes share a component (the range is
+    order-convex), so that top is the node's parent in the forest.
+    """
+    kids: dict[str, list[str]] = {p: [] for p in order}
+    up: dict[str, str] = {}
+    roots: list[str] = []
+    stack: list[str] = []
+    for p in order:
+        while stack and not p.startswith(stack[-1]):
+            stack.pop()
+        if stack:
+            up[p] = stack[-1]
+            kids[stack[-1]].append(p)
+        else:
+            roots.append(p)
+        stack.append(p)
+    return _Forest(order, kids, up, roots)
 
 
 class NormSolver:
     """DP engine bound to one vector; answers many constrained queries.
 
-    Building the solver precomputes the scaled entries and the range
-    forest and solves the unconstrained DP, so callers that probe many
-    constraint sets (gap scans, separation checks) pay the structural
-    cost a single time. The witness of the unconstrained solve is built
-    on the first solve() and kept.
+    Building the solver precomputes the scaled entries, the range and
+    its skeleton, and solves the unconstrained DP, so callers that probe
+    many constraint sets (gap scans, separation checks) pay the
+    structural cost a single time. The witness of the unconstrained
+    solve is built on the first solve() and kept.
 
-    The unconstrained solve keeps its DP tables, and the parent-child
-    gap and node-isolation queries are answered from them. Separating a
-    child v from its parent cuts the edge above v, so
+    The skeleton is the support plus every range node with two range
+    children: at most 2 |supp| - 1 nodes, whatever the depth. Every DP
+    pass, witness and cut query walks only the skeleton forest (kids
+    and up), so it costs O(|skeleton| * table) rather than O(|ran|); the
+    module docstring says why skipping the other range nodes is exact.
+    A constrained solve splices its pair endpoints and forced tops and
+    bottoms into the forest for that solve.
+
+    The unconstrained solve keeps its DP tables, and the gap and
+    node-isolation queries are answered from them. Separating a child v
+    from its parent cuts the edge above v, so
 
         gap(parent(v), v) = norm - closed(v) - outside(v)
 
     where closed(v) is the best score of subtree(v) with nothing open
     into the parent, read from v's cached table, and outside(v) is the
-    best score on ran minus subtree(v). Isolating a node cuts the edges
-    above and below it, so its best score is val(a)^2 + sum of closed(c)
-    over its range children + outside(a). outside(v) re-visits only the
-    ancestor path of v: the parent without v, then each ancestor up to
-    the component root, reading every other table from the cache; the
-    other components contribute their cached bests. A query therefore
-    costs O(depth * table) instead of a DP over the whole range, and
-    builds no witness. Any other constraint set runs the constrained DP.
-
-    Every DP pass, the ancestor path of outside(v) included, lets a
-    support-free stretch node share its child's open entries at O(1)
-    cost; the module docstring states the rule.
+    best score on ran minus subtree(v). outside(v) re-visits only the
+    skeleton ancestors of v: the nearest one without v, then each one
+    up to the component root, reading every other table from the cache;
+    the other components contribute their cached bests. Every edge of a
+    support-free stretch cuts like the edge above the skeleton node
+    below the stretch, so each cut is scored once per skeleton node and
+    memoised. A partition separates comparable u < v iff it cuts an edge
+    between them, so gap(u, v) is the least of those edge gaps.
+    Isolating a node cuts the edges above and below it, so its best
+    score is val(a)^2 + sum of closed(k) over its skeleton kids +
+    outside(a); on a stretch node that is the cut of its stretch. No
+    query builds a witness.
     """
 
     def __init__(self, x: TreeVector):
@@ -234,26 +286,41 @@ class NormSolver:
         self.den = lcm(*(v.denominator for v in entries.values())) if entries else 1
         self.val = {p: int(v * self.den) for p, v in entries.items()}
         self.supp = frozenset(self.val)
-        self.ran = ran = range_paths(self.supp)
-        self.children = {p: [c for c in (p + "0", p + "1") if c in ran] for p in ran}
-        self.roots = sorted(
-            (p for p in ran if not p or p[:-1] not in ran), key=lambda p: (len(p), p)
-        )
-        # The unconstrained DP: every node's table, each component root's
-        # best (score, closure choice) and their total.
+        self.ran = range_paths(self.supp)
+        self._skel = _forest(sorted(self._skeleton()))
+        # The unconstrained DP: every skeleton node's table, each
+        # component root's best (score, closure choice) and their total.
         self._tables: dict[str, _Table] = {}
-        self._root_best = self._dp(_NO_SEP, _NO_FORCED, self._tables)
+        self._root_best = self._dp(_NO_SEP, _NO_FORCED, self._skel, self._tables)
         self._total = sum(best[0] for best in self._root_best.values())
         self._base: NormResult | None = None  # its witness, built on first solve()
+        self._cuts: dict[str, int] = {}  # skeleton node -> best score cutting above it
+
+    def _skeleton(self) -> set[str]:
+        """The support and every range node with two range children.
+
+        In sorted order the paths of a subtree are contiguous, so a node
+        with support below both children is the longest common prefix
+        of two neighbouring support paths; it is kept when it lies in
+        the range.
+        """
+        order = sorted(self.supp)
+        kept = set(order)
+        for a, b in zip(order, order[1:]):
+            if not b.startswith(a):
+                p = commonprefix((a, b))
+                if p in self.ran:
+                    kept.add(p)
+        return kept
 
     # -- public ---------------------------------------------------------
 
     def solve(self, constraints: Iterable[Constraint] = ()) -> NormResult:
-        tables, bests = self._solve(*self._normalize(constraints))
+        forest, tables, bests = self._solve(*self._normalize(constraints))
         if tables is not self._tables:
-            return self._result(tables, bests)
+            return self._result(forest, tables, bests)
         if self._base is None:
-            self._base = self._result(tables, bests)
+            self._base = self._result(forest, tables, bests)
         return self._base
 
     def norm_sq(self, constraints: Iterable[Constraint] = ()) -> Fraction:
@@ -273,22 +340,27 @@ class NormSolver:
             upper, lower = v.path, u.path
         else:
             return Fraction(0)  # incomparable nodes never share a segment
-        if len(lower) == len(upper) + 1:
-            kept = self._closed(lower) + self._outside(lower)
-        else:
-            kept = self._score((SeparatePair(u, v),))
-        return Fraction(self._total - kept, self.den * self.den)
+        # the skeleton nodes whose stretches hold the edges of (upper, lower]
+        d, up, best = self._kept_below(lower), self._skel.up, 0
+        while d is not None and len(d) > len(upper):
+            best = max(best, self._cut(d))
+            d = up.get(d)
+        return Fraction(self._total - best, self.den * self.den)
 
     def isolation_gap(self, a: Node) -> Fraction:
         """norm_sq minus the best score among partitions containing [a, a]."""
         self._require_in_ran(a)
         p = a.path
-        kept = (
-            self.val.get(p, 0) ** 2
-            + sum(self._closed(c) for c in self.children[p])
-            + self._outside(p)
-        )
-        return Fraction(self._total - kept, self.den * self.den)
+        d = self._kept_below(p)
+        if d != p:
+            best = self._cut(d)  # a stretch node cuts like the edge above d
+        else:
+            best = (
+                self.val.get(p, 0) ** 2
+                + sum(self._closed(k) for k in self._skel.kids[p])
+                + self._outside(p)
+            )
+        return Fraction(self._total - best, self.den * self.den)
 
     # -- constraint intake ------------------------------------------------
 
@@ -329,41 +401,64 @@ class NormSolver:
 
     def _score(self, constraints: Iterable[Constraint] = ()) -> int:
         """The scaled integer optimum under the constraints; no witness."""
-        _, bests = self._solve(*self._normalize(constraints))
+        _, _, bests = self._solve(*self._normalize(constraints))
         return sum(best[0] for best in bests.values())
 
-    def _solve(self, sep: _SepSpec, forced: _ForcedSpec) -> tuple[dict, dict]:
-        """Every node's table and each component root's best closure.
+    def _solve(self, sep: _SepSpec, forced: _ForcedSpec) -> tuple[_Forest, dict, dict]:
+        """The forest a pass visits, its tables and each root's best closure.
 
-        The empty constraint set returns the tables solved at construction.
+        The empty constraint set returns the pass solved at construction.
+        Any other set splices the pair endpoints and the forced tops and
+        bottoms that lie off the skeleton into the forest for its pass.
+        The interior nodes of a forced segment need no table: each would
+        pass its child's open entries up unchanged.
         """
         if not sep.upper and not forced.segments:
-            return self._tables, self._root_best
+            return self._skel, self._tables, self._root_best
+        ends = {*sep.upper, *sep.lower_at, *forced.top, *forced.bottom}
+        extra = [p for p in ends if p not in self._skel.kids]
+        forest = _forest(sorted(self._skel.order + extra)) if extra else self._skel
         tables: dict[str, _Table] = {}
-        return tables, self._dp(sep, forced, tables)
+        return forest, tables, self._dp(sep, forced, forest, tables)
+
+    def _kept_below(self, p: str) -> str:
+        """The nearest skeleton node at or below the range node p.
+
+        The paths below p follow p in sorted order, so this is the first
+        skeleton node at or after p.
+        """
+        order = self._skel.order
+        return order[bisect_left(order, p)]
+
+    def _cut(self, d: str) -> int:
+        """Best unconstrained score with the edge above skeleton node d cut."""
+        best = self._cuts.get(d)
+        if best is None:
+            best = self._cuts[d] = self._closed(d) + self._outside(d)
+        return best
 
     def _closed(self, c: str) -> int:
         """Best unconstrained score of subtree(c) with nothing open above c."""
         return self._closed_best(c, self._tables[c], _NO_FORCED)[0]
 
     def _outside(self, v: str) -> int:
-        """Best unconstrained score on ran minus subtree(v).
+        """Best unconstrained score on ran minus subtree(v), for a skeleton node v.
 
-        Re-visits v's parent without v, then each ancestor up to the
-        component root; every other table comes from the cache. The
-        path tables index children after the drop, so they are scored
-        but never reconstructed.
+        Re-visits v's nearest skeleton ancestor without v, then each
+        skeleton ancestor up to the component root; every other table
+        comes from the cache. The path tables index kids after the drop,
+        so they are scored but never reconstructed.
         """
-        tables = self._tables
-        child, table, p = v, None, v[:-1]
-        while child and p in self.ran:
+        tables, kids, up = self._tables, self._skel.kids, self._skel.up
+        child, table, p = v, None, up.get(v)
+        while p is not None:
             if table is None:
-                kids = [c for c in self.children[p] if c != child]
+                ks = [c for c in kids[p] if c != child]
             else:
-                kids = self.children[p]
-            local = {c: table if c == child else tables[c] for c in kids}
-            table = self._visit(p, kids, local, _NO_SEP, _NO_FORCED)
-            child, p = p, p[:-1]
+                ks = kids[p]
+            local = {c: table if c == child else tables[c] for c in ks}
+            table = self._visit(p, ks, local, _NO_SEP, _NO_FORCED)
+            child, p = p, up.get(p)
         rest = self._total - self._root_best[child][0]
         if table is None:
             return rest  # v is a component root
@@ -371,39 +466,31 @@ class NormSolver:
 
     # -- the dynamic program ----------------------------------------------
 
-    def _dp(self, sep: _SepSpec, forced: _ForcedSpec, tables: dict) -> dict[str, tuple]:
-        """Fill every node's table; return each component root's best closure."""
+    def _dp(
+        self, sep: _SepSpec, forced: _ForcedSpec, forest: _Forest, tables: dict
+    ) -> dict[str, tuple]:
+        """Fill every table of the forest; return each component root's best closure.
+
+        Reversed sorted order visits every node after its descendants.
+        """
+        for p in reversed(forest.order):
+            tables[p] = self._visit(p, forest.kids[p], tables, sep, forced)
         bests = {}
-        for root in self.roots:
-            for p in self._postorder(root):
-                tables[p] = self._visit(p, self.children[p], tables, sep, forced)
+        for root in forest.roots:
             bests[root] = self._closed_best(root, tables[root], forced)
             if bests[root] is None:
                 raise InfeasibleError("no partition satisfies the constraint set")
         return bests
 
-    def _result(self, tables: dict, bests: dict) -> NormResult:
+    def _result(self, forest: _Forest, tables: dict, bests: dict) -> NormResult:
         total = 0
         segments: list[Segment] = []
         for root, (value, closure) in bests.items():
             total += value
-            segments.extend(self._reconstruct(root, closure, tables))
+            segments.extend(self._reconstruct(root, closure, tables, forest.kids))
         return NormResult(
             Fraction(total, self.den * self.den), Partition(frozenset(segments))
         )
-
-    def _postorder(self, root: str) -> list[str]:
-        out: list[str] = []
-        stack: list[tuple[str, bool]] = [(root, False)]
-        while stack:
-            p, expanded = stack.pop()
-            if expanded:
-                out.append(p)
-            else:
-                stack.append((p, True))
-                for c in reversed(self.children[p]):
-                    stack.append((c, False))
-        return out
 
     @staticmethod
     def _sorted_keys(opens: dict) -> list[tuple[int, tuple[int, ...]]]:
@@ -435,24 +522,10 @@ class NormSolver:
     def _visit(
         self, p: str, kids: list[str], tables: dict, sep: _SepSpec, forced: _ForcedSpec
     ) -> _Table:
-        start_mask = sep.lower_at.get(p, ())
-        check_pairs = frozenset(sep.upper_at.get(p, ()))
-        if (
-            len(kids) == 1
-            and p not in self.supp
-            and not start_mask
-            and not check_pairs
-            and p not in forced.member_of
-            and kids[0] not in forced.member_of
-        ):
-            # A support-free stretch node would rebuild its child's open
-            # entries with the same keys and scores, so it shares them.
-            c = kids[0]
-            kc = self._closed_best(c, tables[c], forced)
-            return (None if kc is None else (kc[0], ("done", (kc[1],))), tables[c][1])
-
         kid_closed = [self._closed_best(c, tables[c], forced) for c in kids]
         xv = self.val.get(p, 0)
+        start_mask = sep.lower_at.get(p, ())
+        check_pairs = frozenset(sep.upper_at.get(p, ()))
 
         all_closed = None
         if all(kc is not None for kc in kid_closed):
@@ -496,9 +569,9 @@ class NormSolver:
                 if all_closed is not None:
                     opens[(xv, start_mask)] = (all_closed[0], ("start", all_closed[1]))
             else:
-                # mid-segment: extend along the forced chain, close the rest
-                chain_child = forced.bottom[fidx][: len(p) + 1]
-                extend_through(kids.index(chain_child))
+                # mid-segment: extend toward the forced bottom, close the rest
+                bottom = forced.bottom[fidx]
+                extend_through(next(i for i, c in enumerate(kids) if bottom.startswith(c)))
             return (None, opens)
 
         done = None
@@ -514,7 +587,9 @@ class NormSolver:
 
     # -- witness extraction ------------------------------------------------
 
-    def _reconstruct(self, root: str, closure: tuple, tables: dict) -> list[Segment]:
+    def _reconstruct(
+        self, root: str, closure: tuple, tables: dict, kids: dict[str, list[str]]
+    ) -> list[Segment]:
         """Segments of the witness below root, with an explicit stack.
 
         A closure is _DONE (no segment through the node) or ("cclose",
@@ -525,7 +600,7 @@ class NormSolver:
         stack: list[tuple[str, tuple]] = [(root, closure)]
 
         def push(p: str, closures: tuple) -> None:
-            for c, cl in zip(self.children[p], closures):
+            for c, cl in zip(kids[p], closures):
                 if cl is not None:  # None marks the segment that climbed through p
                     stack.append((c, cl))
 
@@ -536,18 +611,14 @@ class NormSolver:
                 continue
             p, k = top, cl[1]
             while True:
-                opens, kids = tables[p][1], self.children[p]
-                if len(kids) == 1 and tables[kids[0]][1] is opens:
-                    p = kids[0]  # a stretch node: the same key continues below
-                    continue
-                choice = opens[k][1]
+                choice = tables[p][1][k][1]
                 if choice[0] == "start":
                     push(p, choice[1])
                     segments.append(Segment(Node(top), Node(p)))
                     break
                 _, child_index, child_key, closures = choice
                 push(p, closures)
-                p = self.children[p][child_index]
+                p = kids[p][child_index]
                 k = child_key
         return segments
 

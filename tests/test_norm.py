@@ -22,6 +22,14 @@ Claims:
       order and scores of every table under multi-pair constraint sets
     - inside a support-free stretch, the gap above a node, the gap below
       it and its isolation gap are equal
+    - the DP keeps tables exactly on the skeleton (support, branch nodes
+      and the constraint nodes of a solve), each equal to the full-range
+      DP's table at that node, also with both ends of a separation pair
+      inside one stretch; a sparse 800-level chain with k support nodes
+      costs at most 2k node visits
+    - a gap between non-adjacent comparable nodes, the least parent-child
+      gap on the path, equals the SeparatePair solve, and the all-pairs
+      separation scan scores one cut per skeleton edge
 """
 
 from __future__ import annotations
@@ -57,6 +65,7 @@ from jtx import (
     constrained_norm_sq,
     enumerate_norming,
     gap,
+    is_separated,
     isolatable_nodes,
     jt_norm_sq,
     leq,
@@ -511,7 +520,7 @@ class TestCutIdentity:
     def test_parent_child_gaps_match_constrained_dp(self, x):
         oracle = NormSolver(x)
         norm = oracle.solve().norm_sq
-        solver = NormSolver(x)  # fresh: the first gap triggers the base solve
+        solver = NormSolver(x)  # fresh: construction solves the DP, no gap is cached
         for u, v in parent_child_pairs(x.range()):
             expected = norm - oracle.solve((SeparatePair(u, v),)).norm_sq
             assert solver.gap(u, v) == expected
@@ -587,11 +596,16 @@ class TestDeepChains:
 
 
 class _RebuildEveryNodeSolver(NormSolver):
-    """The DP as it was before stretch pass-through, kept as the reference.
+    """The DP as it was before the skeleton and stretch pass-through, kept
+    as the reference.
 
-    Every node rebuilds its open entries, masks are frozensets of pair
-    indices, and keys sort by (open sum, sorted mask tuple).
+    Its forest is the whole range, so every range node gets a table and
+    rebuilds its open entries; masks are frozensets of pair indices, and
+    keys sort by (open sum, sorted mask tuple).
     """
+
+    def _skeleton(self):
+        return set(self.ran)
 
     @staticmethod
     def _sorted_keys(opens):
@@ -808,20 +822,39 @@ class TestStretchPassThrough:
         assert Segment(Node("11"), Node("111")) in witness.segments
 
 
+def _skeleton_nodes(x: TreeVector, constraints=()) -> set[str]:
+    """The support, every range node with two range children, and the
+    nodes the constraints splice in: comparable pair endpoints and
+    forced tops and bottoms."""
+    ran = {n.path for n in x.range()}
+    nodes = {n.path for n in x.support()}
+    nodes |= {p for p in ran if p + "0" in ran and p + "1" in ran}
+    for c in constraints:
+        if isinstance(c, SeparatePair) and (leq(c.u, c.v) or leq(c.v, c.u)):
+            nodes |= {c.u.path, c.v.path}
+        elif isinstance(c, IsolateNode):
+            nodes.add(c.node.path)
+        elif isinstance(c, ForceSegment):
+            nodes |= {c.segment.top.path, c.segment.bottom.path}
+    return nodes
+
+
 def _assert_tables_match(x: TreeVector, constraints) -> None:
-    """Every table's keys sort as the reference's do, with equal scores,
-    and the witness documents are byte-equal."""
+    """The solve keeps a table exactly on its skeleton; each of them sorts
+    its keys as the reference's table at that node does, with equal
+    scores; and the witness documents are byte-equal."""
     ref, solver = _RebuildEveryNodeSolver(x), NormSolver(x)
     try:
-        ref_tables, _ = ref._solve(*ref._normalize(constraints))
+        _, ref_tables, _ = ref._solve(*ref._normalize(constraints))
     except InfeasibleError:
         with pytest.raises(InfeasibleError):
             constrained_norm_sq(x, constraints)
         return
-    tables, _ = solver._solve(*solver._normalize(constraints))
-    assert tables.keys() == ref_tables.keys()
-    for p, (ref_done, ref_opens) in ref_tables.items():
-        done, opens = tables[p]
+    _, tables, _ = solver._solve(*solver._normalize(constraints))
+    assert tables.keys() <= ref_tables.keys()
+    assert tables.keys() == _skeleton_nodes(x, constraints)
+    for p, (done, opens) in tables.items():
+        ref_done, ref_opens = ref_tables[p]
         assert (done is None) == (ref_done is None)
         assert done is None or done[0] == ref_done[0]
         keys = solver._sorted_keys(opens)
@@ -859,3 +892,102 @@ class TestStretchLaw:
                 assert solver.isolation_gap(Node(p)) == above
                 checked += 1
         assert checked >= 5000
+
+
+# -- the skeleton: a pass visits only the support and the branch nodes --------
+
+
+def _stretches(x: TreeVector) -> list[list[str]]:
+    """Maximal runs of stretch nodes, each listed top down."""
+    nodes = _stretch_nodes(x)
+    stretch = set(nodes)
+    return [
+        [q for q in nodes if q.startswith(p) and all(q[:k] in stretch for k in range(len(p), len(q)))]
+        for p in nodes
+        if p[:-1] not in stretch
+    ]
+
+
+@st.composite
+def pairs_in_one_stretch(draw, x: TreeVector):
+    """A SeparatePair with both endpoints in one stretch, plus up to two
+    constraints on or just below stretch nodes."""
+    runs = [run for run in _stretches(x) if len(run) >= 2]
+    if not runs:
+        return [draw(stretch_constraints(x))]
+    run = draw(st.sampled_from(runs))
+    u, v = draw(st.lists(st.sampled_from(run), min_size=2, max_size=2, unique=True))
+    return [SeparatePair(Node(u), Node(v))] + draw(
+        st.lists(stretch_constraints(x), max_size=2)
+    )
+
+
+def _counting(monkeypatch, name: str) -> list[int]:
+    """Count the calls of NormSolver.<name>; the list holds the count."""
+    calls = [0]
+    original = getattr(NormSolver, name)
+
+    def counted(self, *args):
+        calls[0] += 1
+        return original(self, *args)
+
+    monkeypatch.setattr(NormSolver, name, counted)
+    return calls
+
+
+def _sparse_chain(depth: int, k: int) -> TreeVector:
+    """k alternating entries spread over one branch of the given depth."""
+    branch = "01" * (depth // 2)
+    levels = [round(i * depth / (k - 1)) for i in range(k)]
+    return TreeVector.from_dict(
+        {branch[:lv]: (-1) ** i for i, lv in enumerate(levels)}, max_depth=depth
+    )
+
+
+class TestSkeleton:
+    """The DP keeps tables only on the support, the branch nodes and the
+    constraint nodes of a solve; each check runs against
+    `_RebuildEveryNodeSolver`, whose forest is the whole range."""
+
+    @_STRETCH
+    @given(stretch_vectors(), st.data())
+    def test_pairs_inside_one_stretch_match_reference(self, x, data):
+        constraints = data.draw(pairs_in_one_stretch(x))
+        _assert_tables_match(x, constraints)
+
+    @_STRETCH
+    @given(stretch_vectors(), st.data())
+    def test_path_minimum_gap_matches_constrained_dp(self, x, data):
+        """gap(u, v) for non-adjacent comparable u < v is the least
+        parent-child gap on the path, and equals a SeparatePair solve."""
+        ran = sorted(x.range(), key=Node.sort_key)
+        pairs = [
+            (u, v) for u, v in comparable_pairs(ran) if v.depth > u.depth + 1
+        ]
+        if not pairs:
+            return
+        drawn = data.draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=12))
+        solver, ref = NormSolver(x), _RebuildEveryNodeSolver(x)
+        norm = solver.norm_sq()
+        for u, v in drawn:
+            expected = norm - ref.solve((SeparatePair(u, v),)).norm_sq
+            assert solver.gap(u, v) == expected
+            assert solver.gap(v, u) == expected
+
+    @pytest.mark.parametrize("k", [2, 5, 11, 40])
+    def test_visits_stay_on_the_skeleton(self, k, monkeypatch):
+        x = _sparse_chain(800, k)
+        visits = _counting(monkeypatch, "_visit")
+        NormSolver(x).solve()
+        assert visits[0] <= 2 * k
+
+    def test_all_pairs_scan_cuts_each_edge_once(self, monkeypatch):
+        cuts = _counting(monkeypatch, "_outside")
+        x6 = TreeVector.from_dict({p: 1 for p in grid(6)})
+        report = is_separated(x6, all_pairs=True)
+        assert len(report.pair_gaps) == 642
+        assert cuts[0] == 126  # one per parent-child edge of the depth-6 tree
+        cuts[0] = 0
+        report = is_separated(_sparse_chain(200, 11), all_pairs=True)
+        assert len(report.pair_gaps) == 200 * 201 // 2
+        assert cuts[0] == 10  # one per stretch above a support node but the root
