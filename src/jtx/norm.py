@@ -302,12 +302,13 @@ class NormSolver:
         In sorted order the paths of a subtree are contiguous, so a node
         with support below both children is the longest common prefix
         of two neighbouring support paths; it is kept when it lies in
-        the range.
+        the range. That prefix is a itself when a is a prefix of b, and
+        b's parent when the parent is in the support.
         """
         order = sorted(self.supp)
         kept = set(order)
         for a, b in zip(order, order[1:]):
-            if not b.startswith(a):
+            if not b.startswith(a) and b[:-1] not in self.supp:
                 p = commonprefix((a, b))
                 if p in self.ran:
                     kept.add(p)
