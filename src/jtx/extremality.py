@@ -96,8 +96,13 @@ def perturbation_witness(x: TreeVector, u: Node, v: Node) -> tuple[TreeVector, F
     """Construct y = eps (e_u - e_v) with ||x + y|| = ||x - y|| = ||x|| exactly.
 
     Requires v to be a child of u and the pair to be inseparable. The
-    scale starts at 1 and halves until the exact perturbed norms match;
-    the gap being positive guarantees every small enough eps works.
+    scale starts at 1 and halves until the exact perturbed norms match.
+    With gap g and squared norm N, every eps <= g / (2 sqrt(2N)) works:
+    the norming partitions keep u and v in one segment, where y sums to
+    zero, and every partition that splits them scores at most N - g on
+    x and at most 2 eps^2 on y, while each sqrt(q_P) is a seminorm. So
+    the halving stops by the least k with g^2 * 4^k >= 8N, and a failure
+    there is an internal error.
     """
     return _perturbation(NormSolver(x), u, v)
 
@@ -105,7 +110,8 @@ def perturbation_witness(x: TreeVector, u: Node, v: Node) -> tuple[TreeVector, F
 def _perturbation(solver: NormSolver, u: Node, v: Node) -> tuple[TreeVector, Fraction]:
     if v.parent() != u:
         raise DomainError(f"{v.path!r} is not a child of {u.path!r}")
-    if solver.gap(u, v) == 0:
+    g = solver.gap(u, v)
+    if g == 0:
         raise DomainError(
             f"pair ({u.path!r}, {v.path!r}) is separable; no witness exists"
         )
@@ -113,7 +119,8 @@ def _perturbation(solver: NormSolver, u: Node, v: Node) -> tuple[TreeVector, Fra
     base = solver.norm_sq()
     eps = Fraction(1)
     direction = TreeVector.unit(u) - TreeVector.unit(v)
-    for _ in range(64):
+    k_max = _halving_bound(g, base)
+    for _ in range(k_max + 1):
         y = direction.scale(eps)
         if (
             NormSolver(x + y).norm_sq() == base
@@ -122,8 +129,18 @@ def _perturbation(solver: NormSolver, u: Node, v: Node) -> tuple[TreeVector, Fra
             return y, eps
         eps /= 2
     raise InternalError(
-        "no perturbation scale found in 64 halvings despite a positive gap"
+        f"no perturbation scale found in {k_max} halvings despite a positive gap"
     )
+
+
+def _halving_bound(g: Fraction, norm_sq: Fraction) -> int:
+    """The least k with g^2 * 4^k >= 8 norm_sq, so that 2^-k <= g / (2 sqrt(2 norm_sq)).
+
+    4^k >= c for the integer c = ceil(8 norm_sq / g^2) iff 2k is at
+    least the bit length of c - 1.
+    """
+    c = -(-8 * norm_sq // (g * g))
+    return ((c - 1).bit_length() + 1) // 2
 
 
 def certify_extreme(x: TreeVector) -> ExtremeCertificate:

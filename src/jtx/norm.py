@@ -37,13 +37,18 @@ Gaps and node isolation reuse the unconstrained tables. Separating a
 child v from its parent cuts the edge above v, so
 gap(parent(v), v) = norm - closed(v) - outside(v): closed(v) is read
 from v's table, and outside(v), the best score on ran minus subtree(v),
-re-visits only the skeleton ancestors of v against the cached tables
-of everything else. Every edge of a stretch cuts like the edge above
-the skeleton node below it. A partition separates comparable u < v iff
-it cuts an edge between them, so gap(u, v) is the least parent-child
-gap on that path. Isolating a node cuts the edges above and below it in
-the same way. Witness reconstruction and score-only queries share the
-same tables; the constrained DP serves every other constraint set.
+comes from a top-down pass over the skeleton (rerooting, as for tree
+DPs). Each skeleton node memoises a context: outside(v), and above(v),
+the best outside score per sum gathered above v by a segment that
+crosses the edge above v. A child's context takes one visit of its
+parent without it against the cached sibling tables, then combines that
+visit's open entries with the parent's context. Every edge of a stretch
+cuts like the edge above the skeleton node below it. A partition
+separates comparable u < v iff it cuts an edge between them, so
+gap(u, v) is the least parent-child gap on that path. Isolating a node
+cuts the edges above and below it in the same way. Witness
+reconstruction and score-only queries share the same tables; the
+constrained DP serves every other constraint set.
 
 A brute-force oracle enumerates all canonical families outright on
 small instances and shares no shortcut with the dynamic program.
@@ -266,10 +271,12 @@ class NormSolver:
 
     where closed(v) is the best score of subtree(v) with nothing open
     into the parent, read from v's cached table, and outside(v) is the
-    best score on ran minus subtree(v). outside(v) re-visits only the
-    skeleton ancestors of v: the nearest one without v, then each one
-    up to the component root, reading every other table from the cache;
-    the other components contribute their cached bests. Every edge of a
+    best score on ran minus subtree(v). outside(v) is read from v's
+    context, which the solver fills top down from the nearest ancestor
+    whose context is memoised (a component root starts from the other
+    components' cached bests). Each context costs one visit of the
+    parent without the child, so a single query costs O(depth) visits
+    and a full scan one visit per skeleton edge. Every edge of a
     support-free stretch cuts like the edge above the skeleton node
     below the stretch, so each cut is scored once per skeleton node and
     memoised. A partition separates comparable u < v iff it cuts an edge
@@ -295,6 +302,8 @@ class NormSolver:
         self._total = sum(best[0] for best in self._root_best.values())
         self._base: NormResult | None = None  # its witness, built on first solve()
         self._cuts: dict[str, int] = {}  # skeleton node -> best score cutting above it
+        # skeleton node -> (outside(v), above(v)); see _context
+        self._contexts: dict[str, tuple[int, dict[int, int]]] = {}
 
     def _skeleton(self) -> set[str]:
         """The support and every range node with two range children.
@@ -445,25 +454,59 @@ class NormSolver:
     def _outside(self, v: str) -> int:
         """Best unconstrained score on ran minus subtree(v), for a skeleton node v.
 
-        Re-visits v's nearest skeleton ancestor without v, then each
-        skeleton ancestor up to the component root; every other table
-        comes from the cache. The path tables index kids after the drop,
-        so they are scored but never reconstructed.
+        It is the first half of v's context, which costs one visit of
+        each skeleton ancestor whose context is not yet memoised.
         """
-        tables, kids, up = self._tables, self._skel.kids, self._skel.up
-        child, table, p = v, None, up.get(v)
-        while p is not None:
-            if table is None:
-                ks = [c for c in kids[p] if c != child]
-            else:
-                ks = kids[p]
-            local = {c: table if c == child else tables[c] for c in ks}
-            table = self._visit(p, ks, local, _NO_SEP, _NO_FORCED)
-            child, p = p, up.get(p)
-        rest = self._total - self._root_best[child][0]
-        if table is None:
-            return rest  # v is a component root
-        return rest + self._closed_best(child, table, _NO_FORCED)[0]
+        return self._context(v)[0]
+
+    def _context(self, v: str) -> tuple[int, dict[int, int]]:
+        """The context (outside(v), above(v)) of a skeleton node v, memoised.
+
+        above(v) maps a sum t to the best score on ran minus subtree(v)
+        when one segment crosses the edge above v and gathers t above
+        it; that segment's square is not counted yet. Contexts fill top
+        down from the nearest memoised ancestor, or from the component
+        root, whose context is the other components' bests and {}.
+        """
+        contexts, up = self._contexts, self._skel.up
+        path, w = [], v
+        while w not in contexts and w in up:
+            path.append(w)
+            w = up[w]
+        if w not in contexts:
+            contexts[w] = (self._total - self._root_best[w][0], {})
+        for c in reversed(path):
+            contexts[c] = self._descend(c, contexts[up[c]])
+        return contexts[v]
+
+    def _descend(
+        self, v: str, parent_context: tuple[int, dict[int, int]]
+    ) -> tuple[int, dict[int, int]]:
+        """v's context from the context of p = up(v) and one visit of p without v.
+
+        A segment open through p, with sum s and score, finishes above p
+        with any (t, rest) of above(p) as score + rest + (s + t)^2. A
+        segment crossing the edge above v holds p, so it starts at p
+        (when p is in the support) or runs on above p; either way the
+        siblings of v close.
+        """
+        outside_p, above_p = parent_context
+        p = self._skel.up[v]
+        siblings = [c for c in self._skel.kids[p] if c != v]
+        done, opens = table = self._visit(p, siblings, self._tables, _NO_SEP, _NO_FORCED)
+        outside = outside_p + self._closed_best(p, table, _NO_FORCED)[0]
+        for (s, _), (sc, _) in opens.items():
+            for t, rest in above_p.items():
+                cand = sc + rest + (s + t) * (s + t)
+                if cand > outside:
+                    outside = cand
+        closed_siblings, xv = done[0], self.val.get(p, 0)
+        above = {xv: closed_siblings + outside_p} if p in self.supp else {}
+        for t, rest in above_p.items():
+            cand = closed_siblings + rest
+            if cand > above.get(xv + t, -1):
+                above[xv + t] = cand
+        return outside, above
 
     # -- the dynamic program ----------------------------------------------
 

@@ -8,6 +8,7 @@ exact equality. No floating point appears anywhere on a decision path.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Union
 
@@ -48,7 +49,13 @@ def parse_rational(value: RationalLike) -> Fraction:
 
 
 def format_rational(q: Fraction) -> str:
-    return str(q)
+    """"p" or "p/q"; a value past the interpreter's integer-to-text limit is an InputError."""
+    try:
+        return str(q)
+    except ValueError:
+        raise InputError(
+            f"a result has more than {sys.get_int_max_str_digits()} digits to write out"
+        ) from None
 
 
 class TreeVector:

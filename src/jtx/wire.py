@@ -9,6 +9,7 @@ canonically so identical inputs produce identical bytes.
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 from math import isqrt
 from typing import Any, IO
@@ -110,10 +111,13 @@ def sqrt_decimal(q: Fraction, digits: int = DEFAULT_DIGITS) -> str:
         n -= 1
     while 4 * scaled >= (2 * n + 1) ** 2 * r:
         n += 1
-    if digits == 0:
-        return str(n)
     whole, frac = divmod(n, 10 ** digits)
-    return f"{whole}.{frac:0{digits}d}"
+    try:
+        return f"{whole}.{frac:0{digits}d}" if digits else str(n)
+    except ValueError:
+        raise InputError(
+            f"a result has more than {sys.get_int_max_str_digits()} digits to write out"
+        ) from None
 
 
 # -- result documents ------------------------------------------------------

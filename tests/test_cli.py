@@ -7,6 +7,8 @@ Claims:
     - JTX_ORACLE_CAP and --oracle-cap control the enumeration cap
     - --digits accepts 0..1000 and vector values reject exponent forms,
       both with exit 2
+    - a result too long to write out in decimal exits 2 with an error
+      document, and extreme and witness find scales below 2^-64
     - isolatable builds one solver per command, and witness one solver on
       the input vector
 """
@@ -14,6 +16,7 @@ Claims:
 from __future__ import annotations
 
 import json
+import sys
 
 import pytest
 
@@ -124,6 +127,21 @@ class TestExtreme:
         path.write_text(json.dumps({"vector": {}}))
         code, _, err = _run(capsys, ["extreme", str(path)])
         assert code == 3
+
+    def test_scale_past_64_halvings(self, tmp_path, capsys):
+        eps = "1/1180591620717411303424"  # 2^-70
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps({"vector": {"": "1", "0": eps}}))
+        code, out, _ = _run(capsys, ["extreme", str(path)])
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["epsilon"] == eps
+        assert doc["witness_y"] == {"vector": {"": eps, "0": "-" + eps}}
+        code, out, _ = _run(capsys, ["witness", str(path), "--u", "", "--v", "0"])
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["epsilon"] == eps
+        assert doc["vanishes_on_all_norming"] is True
 
 
 class TestGreedy:
@@ -390,6 +408,30 @@ class TestErrors:
         code, _, err = _run(capsys, ["norm", str(path)])
         assert code == 2
         assert "exponent" in json.loads(err)["error"]["message"]
+
+    @pytest.mark.parametrize(
+        "entries, command",
+        [
+            ({"": "7" * 3000, "0": "1"}, ["norm"]),
+            ({"": "7" * 3000, "0": "1"}, ["extreme"]),
+            ({"": "7" * 3000, "0": "7" * 3000}, ["norm"]),
+            ({"": "7" * 3000, "0": "7" * 3000}, ["gap", "--u", "", "--v", "0"]),
+            ({"": "7" * 3000, "0": "7" * 3000}, ["extreme"]),
+        ],
+    )
+    def test_result_past_the_digit_limit(self, tmp_path, capsys, entries, command):
+        """Each input parses; a result past the interpreter's default
+        4300-digit limit on integer text is an input error, not a crash."""
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            path = tmp_path / "huge.json"
+            path.write_text(json.dumps({"vector": entries}))
+            code, out, err = _run(capsys, [command[0], str(path), *command[1:]])
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["type"] == "InputError"
 
     def test_oracle_disagreement_is_internal_error(self, vec_file, capsys, monkeypatch):
         from fractions import Fraction

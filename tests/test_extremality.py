@@ -6,7 +6,9 @@ Claims:
     - parent-child scanning decides separation identically to the
       all-comparable-pairs scan
     - non-separated vectors yield verified perturbation witnesses whose
-      sums vanish on every norming partition
+      sums vanish on every norming partition; the scale 2^-k at the
+      least k with g^2 * 4^k >= 8N always works, so the halving reaches
+      scales past 2^-64 when the gap is that small
     - l2 equality forces separation and extremality; on single branches
       and incomparable-segment supports the converse holds too
     - isolation of every support node forces l2 equality
@@ -41,6 +43,7 @@ from hypothesis import strategies as st
 from jtx import (
     DomainError,
     Node,
+    NormSolver,
     PositivityError,
     TreeVector,
     all_isolatable_implies_l2,
@@ -52,10 +55,12 @@ from jtx import (
     perturbation_witness,
     vanishes_on_all_norming,
 )
-from jtx.extremality import _descent_sums
+from jtx.extremality import _descent_sums, _halving_bound
 
 EX = TreeVector.from_dict({"": 1, "00": 1, "01": 1})
 TRIPOD = TreeVector.from_dict({"": 1, "0": 1, "1": 1})
+# 2^-70 below the root: the gap is 2^-69, so the first working scale is 2^-70
+TINY_CHILD = TreeVector.from_dict({"": "1", "0": "1/1180591620717411303424"})
 
 
 class TestIsSeparated:
@@ -133,6 +138,42 @@ class TestPerturbationWitness:
             assert jt_norm_sq(x - y).norm_sq == base
             assert vanishes_on_all_norming(x, y)
         assert seen >= 10
+
+    def test_scale_past_64_halvings(self):
+        cert = certify_extreme(TINY_CHILD)
+        assert cert.verdict == "not-extreme"
+        assert cert.blocked_pair == (Node(""), Node("0"))
+        eps = cert.epsilon
+        assert eps == Fraction(1, 2**70)
+        y = cert.witness_y
+        assert y == TreeVector.from_dict({"": eps, "0": -eps})
+        assert jt_norm_sq(TINY_CHILD + y).norm_sq == cert.norm_sq
+        assert jt_norm_sq(TINY_CHILD - y).norm_sq == cert.norm_sq
+        assert perturbation_witness(TINY_CHILD, Node(""), Node("0")) == (y, eps)
+
+    def test_the_proven_scale_always_works(self):
+        """2^-k at the least k with g^2 * 4^k >= 8N keeps both norms, so
+        the halving always stops by then."""
+        rng = random.Random(9)
+        xs = [random_signed(rng, max_depth=3, max_ran=9) for _ in range(80)]
+        xs += [TreeVector.from_dict({"": 1, "0": Fraction(1, 2**k)}) for k in (0, 5, 70, 200)]
+        seen = 0
+        for x in xs:
+            report = is_separated(x, stop_on_blocked=True)
+            if report.separated:
+                continue
+            seen += 1
+            u, v = report.first_blocked_pair
+            solver = NormSolver(x)
+            g, base = solver.gap(u, v), solver.norm_sq()
+            k = _halving_bound(g, base)
+            assert g * g * 4**k >= 8 * base
+            assert k == 0 or g * g * 4 ** (k - 1) < 8 * base
+            y = (TreeVector.unit(u) - TreeVector.unit(v)).scale(Fraction(1, 2**k))
+            assert jt_norm_sq(x + y).norm_sq == base
+            assert jt_norm_sq(x - y).norm_sq == base
+            assert perturbation_witness(x, u, v)[1] >= Fraction(1, 2**k)
+        assert seen >= 20
 
 
 class TestCertifyExtreme:

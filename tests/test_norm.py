@@ -30,6 +30,11 @@ Claims:
     - a gap between non-adjacent comparable nodes, the least parent-child
       gap on the path, equals the SeparatePair solve, and the all-pairs
       separation scan scores one cut per skeleton edge
+    - outside(v) read from the top-down contexts equals the path re-visit
+      it replaced at every skeleton node, and so do every parent-child
+      gap and every isolation gap, whatever order the queries come in;
+      a full separation scan makes one visit per skeleton node for the
+      solve plus one per skeleton edge for the contexts
 """
 
 from __future__ import annotations
@@ -74,6 +79,7 @@ from jtx import (
     score,
     segments_disjoint,
 )
+from jtx.norm import _NO_FORCED, _NO_SEP
 from jtx.wire import norm_result_doc
 
 
@@ -991,3 +997,113 @@ class TestSkeleton:
         report = is_separated(_sparse_chain(200, 11), all_pairs=True)
         assert len(report.pair_gaps) == 200 * 201 // 2
         assert cuts[0] == 10  # one per stretch above a support node but the root
+
+
+# -- top-down contexts: differential against the path re-visit --------------
+
+
+class _PathRevisitSolver(NormSolver):
+    """Cut queries as they were before the top-down contexts, kept as the
+    reference.
+
+    outside(v) re-visits v's nearest skeleton ancestor without v, then
+    each skeleton ancestor up to the component root, against the cached
+    tables of everything else.
+    """
+
+    def _outside(self, v):
+        tables, kids, up = self._tables, self._skel.kids, self._skel.up
+        child, table, p = v, None, up.get(v)
+        while p is not None:
+            if table is None:
+                ks = [c for c in kids[p] if c != child]
+            else:
+                ks = kids[p]
+            local = {c: table if c == child else tables[c] for c in ks}
+            table = self._visit(p, ks, local, _NO_SEP, _NO_FORCED)
+            child, p = p, up.get(p)
+        rest = self._total - self._root_best[child][0]
+        if table is None:
+            return rest  # v is a component root
+        return rest + self._closed_best(child, table, _NO_FORCED)[0]
+
+
+@st.composite
+def dense_chains(draw) -> TreeVector:
+    """Signed chains to depth 60 with most levels in the support, so the
+    skeleton is nearly the whole chain and every cut sits below a long
+    ancestor path; sometimes a second chain branches off it."""
+    branch = draw(st.integers(10, 60).flatmap(_bits))
+    paths = {branch[:k] for k in range(len(branch) + 1)}
+    if draw(st.booleans()):
+        fork = draw(st.integers(0, len(branch) - 1))
+        side = branch[:fork] + ("1" if branch[fork] == "0" else "0")
+        side += draw(st.integers(0, 20).flatmap(_bits))
+        paths |= {side[:k] for k in range(fork + 1, len(side) + 1)}
+    gaps = draw(st.sets(st.sampled_from(sorted(paths)), max_size=len(paths) // 8))
+    den = draw(st.integers(1, 4))
+    nonzero = st.integers(-3, 3).filter(bool)
+    return TreeVector.from_dict(
+        {p: Fraction(draw(nonzero), den) for p in sorted(paths - gaps)}, max_depth=400
+    )
+
+
+def _assert_contexts_match(x: TreeVector, shuffled) -> None:
+    """outside(v) at every skeleton node, every parent-child gap and every
+    isolation gap equal the path re-visit's; each kind of query runs on
+    a fresh solver in the order `shuffled` gives, so the lazy fills start
+    from different memoised ancestors."""
+    ref = _PathRevisitSolver(x)
+    solver = NormSolver(x)
+    for v in shuffled(solver._skel.order):
+        assert solver._outside(v) == ref._outside(v)
+    solver = NormSolver(x)
+    for u, v in shuffled(parent_child_pairs(x.range())):
+        assert solver.gap(u, v) == ref.gap(u, v)
+    solver = NormSolver(x)
+    for a in shuffled(sorted(x.range(), key=Node.sort_key)):
+        assert solver.isolation_gap(a) == ref.isolation_gap(a)
+
+
+def _drawn_order(data):
+    return lambda items: data.draw(st.permutations(items))
+
+
+class TestContexts:
+    """Cut queries read outside(v) from memoised top-down contexts; each
+    check runs against `_PathRevisitSolver`."""
+
+    @_DIFF
+    @given(signed_vectors(), st.data())
+    def test_signed_vectors_match_path_revisit(self, x, data):
+        _assert_contexts_match(x, _drawn_order(data))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_forest_matches_path_revisit(self, seed):
+        rng = random.Random(seed)
+        _assert_contexts_match(FOREST, lambda items: rng.sample(list(items), len(items)))
+
+    @_STRETCH
+    @given(stretch_vectors(), st.data())
+    def test_stretch_vectors_match_path_revisit(self, x, data):
+        _assert_contexts_match(x, _drawn_order(data))
+
+    @_DIFF
+    @given(dense_chains(), st.data())
+    def test_dense_chains_match_path_revisit(self, x, data):
+        _assert_contexts_match(x, _drawn_order(data))
+
+    def test_separation_scan_visits_each_skeleton_edge_once(self, monkeypatch):
+        visits = _counting(monkeypatch, "_visit")
+        x6 = TreeVector.from_dict({p: 1 for p in grid(6)})
+        assert is_separated(x6).separated
+        assert visits[0] <= 253  # 127 for the solve, 126 for the contexts
+        visits[0] = 0
+        rng = random.Random(8)
+        branch = format(rng.getrandbits(400), "0400b")
+        chain = TreeVector.from_dict(
+            {branch[:k]: rng.choice([-3, -2, -1, 1, 2, 3]) for k in range(401)},
+            max_depth=400,
+        )
+        is_separated(chain)
+        assert visits[0] <= 801  # 401 for the solve, 400 for the contexts

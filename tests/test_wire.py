@@ -5,12 +5,15 @@ Claims:
     - malformed documents raise InputError with exit code 2 semantics
     - sqrt_decimal is correctly rounded at the last digit and accepts
       exactly 0..MAX_DIGITS digits
+    - format_rational and sqrt_decimal raise InputError on values past
+      the interpreter's limit on integer text
 """
 
 from __future__ import annotations
 
 import io
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -35,6 +38,7 @@ from jtx.wire import (
     vector_from_doc,
     vector_to_doc,
 )
+from jtx.vector import format_rational
 
 EX = TreeVector.from_dict({"": 1, "00": 1, "01": "1"})
 
@@ -124,6 +128,29 @@ class TestSqrtDecimal:
         for digits in (-1, MAX_DIGITS + 1):
             with pytest.raises(InputError):
                 sqrt_decimal(Fraction(2), digits)
+
+
+@pytest.fixture()
+def default_digit_limit():
+    """The interpreter's default 4300-digit limit on integer text."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(limit)
+
+
+class TestDigitLimit:
+    def test_format_rational(self, default_digit_limit):
+        assert format_rational(Fraction(10**4000, 3)) == "1" + "0" * 4000 + "/3"
+        for q in (Fraction(10**5000), Fraction(1, 3**10000)):
+            with pytest.raises(InputError):
+                format_rational(q)
+
+    def test_sqrt_decimal(self, default_digit_limit):
+        assert len(sqrt_decimal(Fraction(10**8000), 0)) == 4001
+        for digits in (0, 3):
+            with pytest.raises(InputError):
+                sqrt_decimal(Fraction(10**9000), digits)
 
 
 class TestNormResultDoc:
