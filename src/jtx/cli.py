@@ -6,9 +6,10 @@ error, 3 precondition violation, 4 oracle cap exceeded, 5 internal
 invariant failure. JTX_ORACLE_CAP overrides the default oracle cap;
 the --oracle-cap flag overrides both.
 
-Input bounds (exit 2 beyond them): --digits lies in 0..1000, and vector
-values are integers, fractions or plain decimals; exponent forms such
-as "1e50" are rejected.
+Input bounds (exit 2 beyond them): --digits lies in 0..1000, vector
+values are integers, fractions or plain decimals (exponent forms such
+as "1e50" are rejected), and every output value must fit the
+interpreter's limit on the digits of integer text.
 """
 
 from __future__ import annotations

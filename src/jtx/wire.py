@@ -111,9 +111,11 @@ def sqrt_decimal(q: Fraction, digits: int = DEFAULT_DIGITS) -> str:
         n -= 1
     while 4 * scaled >= (2 * n + 1) ** 2 * r:
         n += 1
-    whole, frac = divmod(n, 10 ** digits)
     try:
-        return f"{whole}.{frac:0{digits}d}" if digits else str(n)
+        if digits == 0:
+            return str(n)
+        whole, frac = divmod(n, 10 ** digits)
+        return f"{whole}.{frac:0{digits}d}"
     except ValueError:
         raise InputError(
             f"a result has more than {sys.get_int_max_str_digits()} digits to write out"
