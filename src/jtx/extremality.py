@@ -21,7 +21,9 @@ from typing import Optional
 from .errors import DomainError, InternalError
 from .greedy import SupportTree
 from .norm import NormSolver, enumerate_norming
-from .tree import Node, canonical_order, comparable_pairs, parent_child_pairs, range_paths
+from .tree import (
+    Node, _forest, canonical_order, comparable_pairs, parent_child_pairs, range_paths
+)
 from .vector import TreeVector
 
 Pair = tuple[Node, Node]
@@ -215,37 +217,31 @@ def _descent_sums(x: TreeVector) -> dict[str, dict[str, Fraction]]:
     wedge one step past the populated region; both variants stand in for
     the infinite branches they represent, whose sums they equal.
 
-    Maps are built only at support nodes, deepest first. From p, a walk
-    down the support-free stretch below it adds x(p) to every exit it
-    passes and to every entry of the maps of the support nodes where it
-    stops. Each node is walked once and each map entry copied once, so
-    the cost is linear in the range plus the output, where a copy
-    at every level would be quadratic in chain depth.
+    The branch ends are the leaves of ran(x), which lie in the support,
+    and the exits: the child outside ran(x) of a range node with one
+    child in it. Linked with the support into one forest, each end
+    climbs its support ancestors once and adds the growing sum to the
+    map of each, so the cost is linear in the range plus the output.
     """
     values = {n.path: v for n, v in x.items()}
-    # below a support node, ran(x) holds exactly the nodes with support at or below
-    active = range_paths(values)
-    memo: dict[str, dict[str, Fraction]] = {}
-    for start in sorted(values, key=len, reverse=True):
-        own = values[start]
-        out: dict[str, Fraction] = {}
-        stack = [start]
-        while stack:
-            p = stack.pop()
-            kids = (p + "0", p + "1")
-            if not any(c in active for c in kids):
-                out[p] = own  # only start can be a leaf: support nodes stop the walk
-                continue
-            for c in kids:
-                if c not in active:
-                    out[c] = own  # the branch leaves the support here
-                elif c in values:
-                    for bottom, s in memo[c].items():
-                        out[bottom] = own + s
-                else:
-                    stack.append(c)
-        memo[start] = out
-    return {n.path: memo[n.path] for n in x.support()}
+    ran = range_paths(values)
+    exits = []
+    for p in ran:
+        zero, one = p + "0", p + "1"
+        if (zero in ran) != (one in ran):
+            exits.append(one if zero in ran else zero)
+    forest = _forest(sorted([*values, *exits]))
+    up = forest.up
+    sums: dict[str, dict[str, Fraction]] = {p: {} for p in values}
+    for end in forest.order:
+        if forest.kids[end]:
+            continue
+        p = end if end in values else up[end]  # an exit carries 0
+        total = sums[p][end] = values[p]
+        while p in up:
+            p = up[p]
+            total = sums[p][end] = total + values[p]
+    return sums
 
 
 def equal_sums_report(x: TreeVector) -> EqualSumsReport:

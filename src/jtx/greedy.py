@@ -13,13 +13,14 @@ All operations reject signed vectors rather than guessing semantics.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
 from .errors import DomainError
 from .norm import ForceSegment, NormSolver, Partition, jt_norm_sq
-from .tree import Node, Segment, canonical_order
+from .tree import Node, Segment, _forest, canonical_order
 from .vector import TreeVector
 
 
@@ -31,41 +32,39 @@ class SupportTree:
 
     def __init__(self, x: TreeVector):
         self.nodes = canonical_order(x.support())
-        self.parent: dict[Node, Optional[Node]] = {}
-        self.children: dict[Node, list[Node]] = {n: [] for n in self.nodes}
         self.paths = {n.path for n in self.nodes}
-        for n in self.nodes:
-            parent = self._support_above(n.path)
-            self.parent[n] = parent
-            if parent is not None:
-                self.children[parent].append(n)
-        self.roots = [n for n in self.nodes if self.parent[n] is None]
+        forest = _forest(sorted(self.paths))
+        self._order, up = forest.order, forest.up
+        by_path = {n.path: n for n in self.nodes}
+        self.parent: dict[Node, Optional[Node]] = {
+            n: by_path[up[n.path]] if n.path in up else None for n in self.nodes
+        }
+        self.children: dict[Node, list[Node]] = {
+            n: [by_path[c] for c in forest.kids[n.path]] for n in self.nodes
+        }
+        self.roots = [by_path[r] for r in forest.roots]
         self.s: dict[Node, Fraction] = {}
         for n in reversed(self.nodes):
             best = max((self.s[c] for c in self.children[n]), default=Fraction(0))
             self.s[n] = x.value(n) + max(Fraction(0), best)
 
-    def _support_above(self, path: str) -> Optional[Node]:
-        """The deepest support node strictly above path, if any."""
-        for k in range(len(path) - 1, -1, -1):
-            if path[:k] in self.paths:
-                return Node(path[:k])
-        return None
-
     def s_at(self, a: Node) -> Fraction:
         """The largest S over the support nodes in the wedge at a; 0 if none.
 
         S strictly decreases down every chain of a positive vector, so the
-        maximum sits on a minimal support node of the wedge: a itself, or
-        an induced child of the deepest support node above a (or a root).
+        maximum sits on a minimal support node of the wedge. The first
+        support path at or after a in sorted order is one when it has a as
+        a prefix: the wedge's paths follow a contiguously, ancestors first.
+        The others share its parent in the forest (or are roots with it).
         """
         if a in self.s:
             return self.s[a]
-        above = self._support_above(a.path)
+        i = bisect_left(self._order, a.path)
+        if i == len(self._order) or not self._order[i].startswith(a.path):
+            return Fraction(0)
+        above = self.parent[Node(self._order[i])]
         heads = self.roots if above is None else self.children[above]
-        return max(
-            (self.s[h] for h in heads if h.path.startswith(a.path)), default=Fraction(0)
-        )
+        return max(self.s[h] for h in heads if h.path.startswith(a.path))
 
 
 @dataclass

@@ -67,10 +67,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from os.path import commonprefix
-from typing import Iterable, NamedTuple, Union
+from typing import Iterable, Union
 
 from .errors import CapError, DomainError, InfeasibleError, InvalidPartitionError
-from .tree import Node, Segment, leq, range_paths, segments_disjoint
+from .tree import Node, Segment, _Forest, _forest, leq, range_paths, segments_disjoint
 from .vector import TreeVector
 
 # Exhaustive family enumeration grows super-exponentially; refuse above this
@@ -207,53 +207,13 @@ _NO_FORCED = _ForcedSpec([])
 _Table = tuple
 
 
-class _Forest(NamedTuple):
-    """The nodes one DP pass visits, each linked to its nearest ancestor among them.
-
-    order lists the nodes in lexicographic order, so each node follows
-    its ancestors; kids maps a node to its nearest descendants in the
-    forest, bit-0 side first; up maps a node to its nearest proper
-    ancestor in the forest; roots are the nodes without one.
-    """
-
-    order: list[str]
-    kids: dict[str, list[str]]
-    up: dict[str, str]
-    roots: list[str]
-
-
-def _forest(order: list[str]) -> _Forest:
-    """Link lexicographically sorted range nodes into a forest.
-
-    A stack holds the ancestors of the current node among those already
-    seen; after popping the ones that are no prefix of it, its top is
-    the nearest. Comparable range nodes share a component (the range is
-    order-convex), so that top is the node's parent in the forest.
-    """
-    kids: dict[str, list[str]] = {p: [] for p in order}
-    up: dict[str, str] = {}
-    roots: list[str] = []
-    stack: list[str] = []
-    for p in order:
-        while stack and not p.startswith(stack[-1]):
-            stack.pop()
-        if stack:
-            up[p] = stack[-1]
-            kids[stack[-1]].append(p)
-        else:
-            roots.append(p)
-        stack.append(p)
-    return _Forest(order, kids, up, roots)
-
-
 class NormSolver:
     """DP engine bound to one vector; answers many constrained queries.
 
     Building the solver precomputes the scaled entries, the range and
     its skeleton, and solves the unconstrained DP, so callers that probe
     many constraint sets (gap scans, separation checks) pay the
-    structural cost a single time. The witness of the unconstrained
-    solve is built on the first solve() and kept.
+    structural cost a single time.
 
     The skeleton is the support plus every range node with two range
     children: at most 2 |supp| - 1 nodes, whatever the depth. Every DP
@@ -294,13 +254,14 @@ class NormSolver:
         self.val = {p: int(v * self.den) for p, v in entries.items()}
         self.supp = frozenset(self.val)
         self.ran = range_paths(self.supp)
+        # each component's root is a support node, so the forest roots are
+        # the component roots
         self._skel = _forest(sorted(self._skeleton()))
         # The unconstrained DP: every skeleton node's table, each
         # component root's best (score, closure choice) and their total.
         self._tables: dict[str, _Table] = {}
         self._root_best = self._dp(_NO_SEP, _NO_FORCED, self._skel, self._tables)
         self._total = sum(best[0] for best in self._root_best.values())
-        self._base: NormResult | None = None  # its witness, built on first solve()
         self._cuts: dict[str, int] = {}  # skeleton node -> best score cutting above it
         # skeleton node -> (outside(v), above(v)); see _context
         self._contexts: dict[str, tuple[int, dict[int, int]]] = {}
@@ -326,16 +287,12 @@ class NormSolver:
     # -- public ---------------------------------------------------------
 
     def solve(self, constraints: Iterable[Constraint] = ()) -> NormResult:
-        forest, tables, bests = self._solve(*self._normalize(constraints))
-        if tables is not self._tables:
-            return self._result(forest, tables, bests)
-        if self._base is None:
-            self._base = self._result(forest, tables, bests)
-        return self._base
+        return self._result(*self._solve(*self._normalize(constraints)))
 
     def norm_sq(self, constraints: Iterable[Constraint] = ()) -> Fraction:
         """solve(constraints).norm_sq, without building the witness."""
-        return Fraction(self._score(constraints), self.den * self.den)
+        _, _, bests = self._solve(*self._normalize(constraints))
+        return Fraction(sum(best[0] for best in bests.values()), self.den * self.den)
 
     def gap(self, u: Node, v: Node) -> Fraction:
         """norm_sq minus the best score among partitions separating u and v."""
@@ -409,11 +366,6 @@ class NormSolver:
 
     # -- scores -------------------------------------------------------------
 
-    def _score(self, constraints: Iterable[Constraint] = ()) -> int:
-        """The scaled integer optimum under the constraints; no witness."""
-        _, _, bests = self._solve(*self._normalize(constraints))
-        return sum(best[0] for best in bests.values())
-
     def _solve(self, sep: _SepSpec, forced: _ForcedSpec) -> tuple[_Forest, dict, dict]:
         """The forest a pass visits, its tables and each root's best closure.
 
@@ -467,6 +419,8 @@ class NormSolver:
         it; that segment's square is not counted yet. Contexts fill top
         down from the nearest memoised ancestor, or from the component
         root, whose context is the other components' bests and {}.
+        Only the contexts of v's kids read above(v), so a skeleton leaf
+        keeps it empty.
         """
         contexts, up = self._contexts, self._skel.up
         path, w = [], v
@@ -500,6 +454,8 @@ class NormSolver:
                 cand = sc + rest + (s + t) * (s + t)
                 if cand > outside:
                     outside = cand
+        if not self._skel.kids[v]:
+            return outside, {}
         closed_siblings, xv = done[0], self.val.get(p, 0)
         above = {xv: closed_siblings + outside_p} if p in self.supp else {}
         for t, rest in above_p.items():

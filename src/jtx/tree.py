@@ -10,7 +10,7 @@ materialized unless asked for.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import DomainError, InputError
 
@@ -172,3 +172,41 @@ def minimal_nodes(nodes: Iterable[Node]) -> list[Node]:
     )
 
 
+class _Forest(NamedTuple):
+    """A set of node paths, each linked to its nearest proper ancestor in the set.
+
+    order lists the paths in lexicographic order, so each path follows
+    its ancestors; kids maps a path to its nearest descendants in the
+    set, bit-0 side first; up maps a path to its nearest proper ancestor
+    in the set; roots are the paths without one.
+    """
+
+    order: list[str]
+    kids: dict[str, list[str]]
+    up: dict[str, str]
+    roots: list[str]
+
+
+def _forest(order: list[str]) -> _Forest:
+    """Link lexicographically sorted, distinct node paths into a forest.
+
+    A stack holds the ancestors of the current path among those already
+    seen; after popping the ones that are no prefix of it, its top is
+    the nearest. Every path between an ancestor a and p in sorted order
+    has a as a prefix, so no ancestor of p is popped before p arrives.
+    One pass costs O(n * depth) for n paths.
+    """
+    kids: dict[str, list[str]] = {p: [] for p in order}
+    up: dict[str, str] = {}
+    roots: list[str] = []
+    stack: list[str] = []
+    for p in order:
+        while stack and not p.startswith(stack[-1]):
+            stack.pop()
+        if stack:
+            up[p] = stack[-1]
+            kids[stack[-1]].append(p)
+        else:
+            roots.append(p)
+        stack.append(p)
+    return _Forest(order, kids, up, roots)

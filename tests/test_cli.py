@@ -11,12 +11,15 @@ Claims:
       document, and extreme and witness find scales below 2^-64
     - isolatable builds one solver per command, and witness one solver on
       the input vector
+    - the CLI example in README.md shows the exact output bytes
 """
 
 from __future__ import annotations
 
 import json
+import shlex
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +27,7 @@ from jtx.cli import main
 
 EXAMPLE = {"vector": {"": "1", "00": "1", "01": "1"}}
 SIGNED = {"vector": {"": "1", "0": "-1"}}
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 @pytest.fixture()
@@ -442,3 +446,21 @@ class TestErrors:
         code, _, err = _run(capsys, ["norm", vec_file, "--oracle"])
         assert code == 5
         assert json.loads(err)["error"]["type"] == "InternalError"
+
+
+def _readme_session() -> list[tuple[str, str]]:
+    """The (command, output) pairs of the shell session under "Example:" in README.md."""
+    block = README.read_text().split("Example:\n\n```\n", 1)[1].split("```", 1)[0]
+    return [chunk.partition("\n")[::2] for chunk in block.split("$ ")[1:]]
+
+
+class TestReadme:
+    def test_cli_example_output_is_exact(self, tmp_path, monkeypatch, capsys):
+        session = _readme_session()
+        assert [command for command, _ in session] == [
+            "cat x.json", "jtx norm x.json", 'jtx gap x.json --u "" --v "0"'
+        ]
+        (tmp_path / "x.json").write_text(session[0][1])
+        monkeypatch.chdir(tmp_path)
+        for command, expected in session[1:]:
+            assert _run(capsys, shlex.split(command)[1:]) == (0, expected, ""), command

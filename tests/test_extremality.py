@@ -16,8 +16,9 @@ Claims:
       branch sums agree when supp = ran, but not in general: a
       separated, extreme vector with unequal branch sums is pinned
     - branch sums are computed without recursion on deep chains, and
-      equal the per-level construction they replaced (hypothesis
-      differential)
+      equal the per-level construction and the stack walk they replaced
+      (hypothesis differentials on positive forests, sparse chains to
+      depth 300 and full trees)
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ from jtx import (
     vanishes_on_all_norming,
 )
 from jtx.extremality import _descent_sums, _halving_bound
+from jtx.tree import range_paths
 
 EX = TreeVector.from_dict({"": 1, "00": 1, "01": 1})
 TRIPOD = TreeVector.from_dict({"": 1, "0": 1, "1": 1})
@@ -318,6 +320,49 @@ def _descent_sums_per_level(x: TreeVector) -> dict[str, dict[str, Fraction]]:
     return {n.path: memo[n.path] for n in x.support()}
 
 
+def _descent_sums_stack_walk(x: TreeVector) -> dict[str, dict[str, Fraction]]:
+    """Branch sums as they were before the climb over the support forest,
+    kept as the reference.
+
+    Maps are built only at support nodes, deepest first. From p, a walk
+    down the support-free stretch below it adds x(p) to every exit it
+    passes and to every entry of the maps of the support nodes where it
+    stops.
+    """
+    values = {n.path: v for n, v in x.items()}
+    active = range_paths(values)
+    memo: dict[str, dict[str, Fraction]] = {}
+    for start in sorted(values, key=len, reverse=True):
+        own = values[start]
+        out: dict[str, Fraction] = {}
+        stack = [start]
+        while stack:
+            p = stack.pop()
+            kids = (p + "0", p + "1")
+            if not any(c in active for c in kids):
+                out[p] = own  # only start can be a leaf: support nodes stop the walk
+                continue
+            for c in kids:
+                if c not in active:
+                    out[c] = own  # the branch leaves the support here
+                elif c in values:
+                    for bottom, s in memo[c].items():
+                        out[bottom] = own + s
+                else:
+                    stack.append(c)
+        memo[start] = out
+    return {n.path: memo[n.path] for n in x.support()}
+
+
+@st.composite
+def positive_supports(draw) -> TreeVector:
+    """Positive values on forests, sparse chains to depth 300 and full trees."""
+    paths = draw(support_paths(max_chain=300))
+    den = draw(st.integers(1, 4))
+    value = st.integers(1, 5).map(lambda k: Fraction(k, den))
+    return TreeVector.from_dict({p: draw(value) for p in paths}, max_depth=300)
+
+
 @st.composite
 def valued_supports(draw) -> TreeVector:
     """Positive or signed values on forests, sparse chains and full trees."""
@@ -335,6 +380,14 @@ class TestDescentSumsDifferential:
     @example(TreeVector.from_dict({"01" * k: k + 1 for k in range(0, 121, 20)}, max_depth=240))
     def test_matches_per_level_maps(self, x):
         assert _descent_sums(x) == _descent_sums_per_level(x)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(positive_supports())
+    @example(TreeVector.from_dict({"10" * k: k + 1 for k in range(0, 151, 30)}, max_depth=300))
+    @example(TreeVector.from_dict({"1" * 300: 2, "1" * 150 + "0": 1}, max_depth=300))
+    @example(full_tree_vector(6))
+    def test_matches_stack_walk(self, x):
+        assert _descent_sums(x) == _descent_sums_stack_walk(x)
 
 
 class TestEqualSums:

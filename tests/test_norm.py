@@ -35,6 +35,8 @@ Claims:
       gap and every isolation gap, whatever order the queries come in;
       a full separation scan makes one visit per skeleton node for the
       solve plus one per skeleton edge for the contexts
+    - after a full separation scan every skeleton leaf has a memoised
+      context whose above(v) is empty
 """
 
 from __future__ import annotations
@@ -79,6 +81,7 @@ from jtx import (
     score,
     segments_disjoint,
 )
+from jtx.extremality import _separation_scan
 from jtx.norm import _NO_FORCED, _NO_SEP
 from jtx.wire import norm_result_doc
 
@@ -1107,3 +1110,22 @@ class TestContexts:
         )
         is_separated(chain)
         assert visits[0] <= 801  # 401 for the solve, 400 for the contexts
+
+
+def _signed_full_tree(depth: int, seed: int) -> TreeVector:
+    rng = random.Random(seed)
+    return TreeVector.from_dict({p: rng.choice([-3, -2, -1, 1, 2, 3]) for p in grid(depth)})
+
+
+@pytest.mark.parametrize("x", [
+    TreeVector.from_dict({p: 1 for p in grid(6)}),
+    _signed_full_tree(5, 9),
+], ids=["x6", "signed-depth-5"])
+def test_leaf_contexts_keep_no_above(x):
+    """Only the contexts of v's kids read above(v), so a leaf's stays empty."""
+    solver = NormSolver(x)
+    _separation_scan(solver, all_pairs=False, stop_on_blocked=False)
+    leaves = [v for v in solver._skel.order if not solver._skel.kids[v]]
+    assert len(leaves) == 2 ** (len(max(leaves, key=len)))
+    for v in leaves:
+        assert solver._contexts[v][1] == {}
