@@ -1,4 +1,5 @@
-"""The dyadic tree: nodes, the prefix order, segments, complete subtrees.
+"""The dyadic tree: nodes, the prefix order, segments, complete subtrees,
+and the forest that links a set of nodes to their nearest ancestors in it.
 
 Nodes are finite 0/1 strings; the root is the empty string. The tree
 order is the initial-segment (prefix) order. A segment is an
