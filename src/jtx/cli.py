@@ -6,15 +6,22 @@ error, 3 precondition violation, 4 oracle cap exceeded, 5 internal
 invariant failure. JTX_ORACLE_CAP overrides the default oracle cap;
 the --oracle-cap flag overrides both.
 
-Input bounds (exit 2 beyond them): --digits lies in 0..1000, vector
-values are integers, fractions or plain decimals (exponent forms such
-as "1e50" are rejected), and every output value must fit the
-interpreter's limit on the digits of integer text.
+Input bounds (exit 2 beyond them): --digits lies in 0..1000, the oracle
+cap (from --oracle-cap or JTX_ORACLE_CAP) is at least 0, vector values
+are integers, fractions or plain decimals (exponent forms such as
+"1e50" are rejected), and every output value must fit the interpreter's
+limit on the digits of integer text.
+
+The argument parser is built once per process, on the first main()
+call, and reused by every later call: it holds no per-call state, since
+parse_args returns a fresh namespace and JTX_ORACLE_CAP is read after
+parsing.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from typing import IO
@@ -43,6 +50,7 @@ from .tree import parse_node
 from .vector import TreeVector, format_rational
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="jtx",
@@ -122,14 +130,18 @@ def _load_partition(path: str):
 
 def _resolve_cap(args: argparse.Namespace) -> int:
     if args.oracle_cap is not None:
-        return args.oracle_cap
-    env = os.environ.get("JTX_ORACLE_CAP")
-    if env is not None:
+        cap, source = args.oracle_cap, "--oracle-cap"
+    else:
+        env = os.environ.get("JTX_ORACLE_CAP")
+        if env is None:
+            return ORACLE_NODE_CAP
         try:
-            return int(env)
+            cap, source = int(env), "JTX_ORACLE_CAP"
         except ValueError:
             raise InputError(f"JTX_ORACLE_CAP must be an integer, got {env!r}") from None
-    return ORACLE_NODE_CAP
+    if cap < 0:
+        raise InputError(f"{source} must be at least 0, got {cap}")
+    return cap
 
 
 def _run(args: argparse.Namespace) -> dict:
@@ -235,8 +247,7 @@ def _run(args: argparse.Namespace) -> dict:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         doc = _run(args)
     except JtxError as exc:

@@ -420,9 +420,10 @@ class NormSolver:
         down from the nearest memoised ancestor, or from the component
         root, whose context is the other components' bests and {}.
         Only the contexts of v's kids read above(v), so a skeleton leaf
-        keeps it empty.
+        keeps it empty, and above(p) is dropped once every kid of p has
+        its context.
         """
-        contexts, up = self._contexts, self._skel.up
+        contexts, up, kids = self._contexts, self._skel.up, self._skel.kids
         path, w = [], v
         while w not in contexts and w in up:
             path.append(w)
@@ -430,7 +431,10 @@ class NormSolver:
         if w not in contexts:
             contexts[w] = (self._total - self._root_best[w][0], {})
         for c in reversed(path):
-            contexts[c] = self._descend(c, contexts[up[c]])
+            p = up[c]
+            contexts[c] = self._descend(c, contexts[p])
+            if all(k in contexts for k in kids[p]):
+                contexts[p] = (contexts[p][0], {})
         return contexts[v]
 
     def _descend(

@@ -4,7 +4,8 @@ Claims:
     - every command emits one JSON document with the documented fields
     - output bytes are identical across repeated runs
     - exit codes: 0 ok, 2 parse, 3 precondition, 4 cap, 5 internal
-    - JTX_ORACLE_CAP and --oracle-cap control the enumeration cap
+    - JTX_ORACLE_CAP and --oracle-cap control the enumeration cap, and a
+      cap below 0 from either exits 2
     - --digits accepts 0..1000 and vector values reject exponent forms,
       both with exit 2
     - a result too long to write out in decimal exits 2 with an error
@@ -12,17 +13,24 @@ Claims:
     - isolatable builds one solver per command, and witness one solver on
       the input vector
     - the CLI example in README.md shows the exact output bytes
+    - the argument parser is built once per process; an argparse error or
+      --help between calls, or the golden commands run in reverse order,
+      leave every later output byte-identical to a fresh process
 """
 
 from __future__ import annotations
 
+import argparse
 import json
+import os
 import shlex
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import jtx.cli as cli_mod
 from jtx.cli import main
 
 EXAMPLE = {"vector": {"": "1", "00": "1", "01": "1"}}
@@ -390,6 +398,30 @@ class TestErrors:
         code, _, _ = _run(capsys, ["enumerate-norming", str(path), "--oracle-cap", "5"])
         assert code == 0
 
+    def test_negative_cap_flag_rejected(self, vec_file, capsys, monkeypatch):
+        monkeypatch.delenv("JTX_ORACLE_CAP", raising=False)
+        code, out, err = _run(capsys, ["norm", vec_file, "--oracle", "--oracle-cap", "-1"])
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error == {"type": "InputError", "message": "--oracle-cap must be at least 0, got -1"}
+
+    def test_negative_cap_env_rejected(self, vec_file, capsys, monkeypatch):
+        monkeypatch.setenv("JTX_ORACLE_CAP", "-1")
+        code, out, err = _run(capsys, ["norm", vec_file, "--oracle"])
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error == {"type": "InputError", "message": "JTX_ORACLE_CAP must be at least 0, got -1"}
+
+    def test_zero_cap_accepted(self, tmp_path, capsys, monkeypatch):
+        """The zero vector has an empty range, so cap 0 still admits it."""
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps({"vector": {}}))
+        code, out, _ = _run(capsys, ["norm", str(path), "--oracle", "--oracle-cap", "0"])
+        assert code == 0 and json.loads(out)["oracle_norm_sq"] == "0"
+        monkeypatch.setenv("JTX_ORACLE_CAP", "0")
+        code, out, _ = _run(capsys, ["norm", str(path), "--oracle"])
+        assert code == 0 and json.loads(out)["oracle_norm_sq"] == "0"
+
     @pytest.mark.parametrize("digits", ["0", "1000"])
     def test_digits_bounds_accepted(self, vec_file, capsys, digits):
         code, out, _ = _run(capsys, ["norm", vec_file, "--digits", digits])
@@ -464,3 +496,64 @@ class TestReadme:
         monkeypatch.chdir(tmp_path)
         for command, expected in session[1:]:
             assert _run(capsys, shlex.split(command)[1:]) == (0, expected, ""), command
+
+
+def _fresh_process(argv: list[str], cwd: Path) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of `jtx argv` in a new interpreter."""
+    src = str(Path(cli_mod.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    env.pop("JTX_ORACLE_CAP", None)
+    done = subprocess.run(
+        [sys.executable, "-m", "jtx.cli", *argv],
+        cwd=cwd, env=env, capture_output=True, text=True, check=False,
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
+class TestParserReuse:
+    """main() builds its parser once per process and keeps no state in it."""
+
+    def test_parser_built_once(self, vec_file, capsys, monkeypatch):
+        monkeypatch.delenv("JTX_ORACLE_CAP", raising=False)
+        builds = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            if kwargs.get("prog") == "jtx":
+                builds.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        cli_mod._build_parser.cache_clear()  # start as a fresh process would
+        for argv in (["norm", vec_file], ["gap", vec_file, "--u", "", "--v", "0"]) * 3:
+            assert _run(capsys, argv)[0] == 0
+        assert len(builds) == 1
+        assert cli_mod._build_parser() is builds[0]
+
+    @pytest.mark.parametrize("failing, code", [
+        (["gap", "x.json", "--u", ""], 2),
+        (["--help"], 0),
+        (["gap", "--help"], 0),
+    ], ids=["missing-flag", "help", "command-help"])
+    def test_exit_then_good_call_matches_fresh_process(
+        self, tmp_path, capsys, monkeypatch, failing, code
+    ):
+        (tmp_path / "x.json").write_text(json.dumps(EXAMPLE))
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("JTX_ORACLE_CAP", raising=False)
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps to the terminal width
+        good = ["gap", "x.json", "--u", "", "--v", "0"]
+        expected = [_fresh_process(failing, tmp_path), _fresh_process(good, tmp_path)]
+        assert expected[0][0] == code
+        with pytest.raises(SystemExit) as exc:
+            main(failing)
+        captured = capsys.readouterr()
+        got = [(exc.value.code, captured.out, captured.err), _run(capsys, good)]
+        assert got == expected
+
+    def test_golden_commands_in_reverse_order(self, monkeypatch):
+        from test_cli_golden import GOLDEN, documents
+
+        monkeypatch.delenv("JTX_ORACLE_CAP", raising=False)
+        golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+        assert documents(reverse=True) == golden

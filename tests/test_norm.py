@@ -1129,3 +1129,36 @@ def test_leaf_contexts_keep_no_above(x):
     assert len(leaves) == 2 ** (len(max(leaves, key=len)))
     for v in leaves:
         assert solver._contexts[v][1] == {}
+
+
+@pytest.mark.parametrize("depth", [1, 40, 400])
+def test_filled_parents_keep_no_above(depth):
+    """Only the contexts of p's kids read above(p), so after a full scan of
+    a dense chain every above map is empty; the cuts stay those of the
+    path re-visit reference (checked where it is cheap)."""
+    rng = random.Random(7)
+    branch = format(rng.getrandbits(depth), f"0{depth}b")
+    chain = TreeVector.from_dict(
+        {branch[:k]: Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
+         for k in range(depth + 1)},
+        max_depth=depth,
+    )
+    solver = NormSolver(chain)
+    _separation_scan(solver, all_pairs=False, stop_on_blocked=False)
+    assert sorted(solver._contexts) == solver._skel.order
+    assert all(above == {} for _, above in solver._contexts.values())
+    if depth <= 40:
+        reference = _PathRevisitSolver(chain)
+        for v in solver._skel.order:
+            assert solver._cut(v) == reference._cut(v), v
+
+
+def test_parents_keep_above_until_every_kid_has_its_context():
+    x = TreeVector.from_dict({p: 1 for p in grid(4)})
+    solver = NormSolver(x)
+    solver.gap(Node("000"), Node("0000"))
+    for p in ("0", "00", "000"):  # each has a kid without its context
+        assert solver._contexts[p][1] != {}, p
+    solver.gap(Node("000"), Node("0001"))
+    assert solver._contexts["000"][1] == {}
+    assert solver._contexts["00"][1] != {}  # "001" has no context yet
