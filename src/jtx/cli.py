@@ -6,11 +6,13 @@ error, 3 precondition violation, 4 oracle cap exceeded, 5 internal
 invariant failure. JTX_ORACLE_CAP overrides the default oracle cap;
 the --oracle-cap flag overrides both.
 
-Input bounds (exit 2 beyond them): --digits lies in 0..1000, the oracle
-cap (from --oracle-cap or JTX_ORACLE_CAP) is at least 0, vector values
-are integers, fractions or plain decimals (exponent forms such as
-"1e50" are rejected), and every output value must fit the interpreter's
-limit on the digits of integer text.
+Input bounds (exit 2 beyond them): --digits lies in 0..1000, vector
+values are integers, fractions or plain decimals (exponent forms such
+as "1e50" are rejected), and every output value must fit the
+interpreter's limit on the digits of integer text. The oracle cap (from
+--oracle-cap or JTX_ORACLE_CAP) is an integer of at least 0; only the
+commands that read it (norm --oracle, enumerate-norming, witness)
+check it.
 
 The argument parser is built once per process, on the first main()
 call, and reused by every later call: it holds no per-call state, since
@@ -147,9 +149,9 @@ def _resolve_cap(args: argparse.Namespace) -> int:
 def _run(args: argparse.Namespace) -> dict:
     wire.check_digits(args.digits)
     x = _load_vector(args.vector)
-    cap = _resolve_cap(args)
 
     if args.command == "norm":
+        cap = _resolve_cap(args) if args.oracle else None
         res = jt_norm_sq(x)
         doc = wire.norm_result_doc(res, args.digits)
         if args.oracle:
@@ -193,7 +195,7 @@ def _run(args: argparse.Namespace) -> dict:
 
     if args.command == "enumerate-norming":
         partitions = sorted(
-            enumerate_norming(x, cap),
+            enumerate_norming(x, _resolve_cap(args)),
             key=lambda p: [s.sort_key() for s in p.sorted_segments()],
         )
         norm_sq = jt_norm_sq(x).norm_sq
@@ -212,6 +214,7 @@ def _run(args: argparse.Namespace) -> dict:
         }
 
     if args.command == "witness":
+        cap = _resolve_cap(args)
         u, v = parse_node(args.u), parse_node(args.v)
         solver = NormSolver(x)
         y, eps = _perturbation(solver, u, v)

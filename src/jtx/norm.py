@@ -420,8 +420,8 @@ class NormSolver:
         down from the nearest memoised ancestor, or from the component
         root, whose context is the other components' bests and {}.
         Only the contexts of v's kids read above(v), so a skeleton leaf
-        keeps it empty, and above(p) is dropped once every kid of p has
-        its context.
+        keeps it empty, and above(p) is emptied in place once every kid
+        of p has its context (each context owns its own map).
         """
         contexts, up, kids = self._contexts, self._skel.up, self._skel.kids
         path, w = [], v
@@ -434,7 +434,7 @@ class NormSolver:
             p = up[c]
             contexts[c] = self._descend(c, contexts[p])
             if all(k in contexts for k in kids[p]):
-                contexts[p] = (contexts[p][0], {})
+                contexts[p][1].clear()
         return contexts[v]
 
     def _descend(

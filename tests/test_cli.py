@@ -4,8 +4,9 @@ Claims:
     - every command emits one JSON document with the documented fields
     - output bytes are identical across repeated runs
     - exit codes: 0 ok, 2 parse, 3 precondition, 4 cap, 5 internal
-    - JTX_ORACLE_CAP and --oracle-cap control the enumeration cap, and a
-      cap below 0 from either exits 2
+    - JTX_ORACLE_CAP and --oracle-cap control the enumeration cap; a cap
+      below 0 (or a non-integer JTX_ORACLE_CAP) exits 2 in the commands
+      that read it and is ignored by the others
     - --digits accepts 0..1000 and vector values reject exponent forms,
       both with exit 2
     - a result too long to write out in decimal exits 2 with an error
@@ -412,6 +413,30 @@ class TestErrors:
         error = json.loads(err)["error"]
         assert error == {"type": "InputError", "message": "JTX_ORACLE_CAP must be at least 0, got -1"}
 
+    @pytest.mark.parametrize("env", ["-1", "abc"])
+    def test_bad_cap_ignored_where_unread(self, vec_file, capsys, monkeypatch, env):
+        """Only norm --oracle, enumerate-norming and witness read the cap."""
+        monkeypatch.setenv("JTX_ORACLE_CAP", env)
+        gap = ["gap", vec_file, "--u", "", "--v", "0"]
+        for argv in (gap, ["norm", vec_file], ["separated", vec_file], ["extreme", vec_file]):
+            assert _run(capsys, argv)[0] == 0, argv
+        monkeypatch.delenv("JTX_ORACLE_CAP")
+        assert _run(capsys, [*gap, "--oracle-cap", "-1"])[0] == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["norm", "{vec}", "--oracle"],
+        ["enumerate-norming", "{vec}"],
+        ["witness", "{vec}", "--u", "", "--v", "0"],
+    ], ids=["norm-oracle", "enumerate-norming", "witness"])
+    def test_bad_cap_rejected_where_read(self, vec_file, capsys, monkeypatch, argv):
+        argv = [a.format(vec=vec_file) for a in argv]
+        monkeypatch.setenv("JTX_ORACLE_CAP", "abc")
+        assert _run(capsys, argv)[0] == 2
+        monkeypatch.setenv("JTX_ORACLE_CAP", "-1")
+        assert _run(capsys, argv)[0] == 2
+        monkeypatch.delenv("JTX_ORACLE_CAP")
+        assert _run(capsys, [*argv, "--oracle-cap", "-1"])[0] == 2
+
     def test_zero_cap_accepted(self, tmp_path, capsys, monkeypatch):
         """The zero vector has an empty range, so cap 0 still admits it."""
         path = tmp_path / "zero.json"
@@ -549,8 +574,11 @@ class TestParserReuse:
         assert got == expected
 
     def test_golden_commands_in_reverse_order(self, monkeypatch):
-        from test_cli_golden import GOLDEN, documents
+        import test_cli_golden as golden_mod
 
+        commands = golden_mod._commands
+        monkeypatch.setattr(golden_mod, "VECTORS", dict(reversed(golden_mod.VECTORS.items())))
+        monkeypatch.setattr(golden_mod, "_commands", lambda *a: commands(*a)[::-1])
         monkeypatch.delenv("JTX_ORACLE_CAP", raising=False)
-        golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
-        assert documents(reverse=True) == golden
+        golden = json.loads(golden_mod.GOLDEN.read_text(encoding="utf-8"))
+        assert golden_mod.documents() == golden

@@ -84,15 +84,10 @@ def _commands(vec: str, part: str, gv: str, gap: tuple, witness: tuple) -> list[
     ]
 
 
-def documents(reverse: bool = False) -> dict:
-    """Run every command on every vector; return {name/command: record}.
-
-    With reverse=True the runs go in the opposite order, last vector's
-    last command first.
-    """
+def documents() -> dict:
+    """Run every command on every vector; return {name/command: record}."""
     out: dict = {}
     with tempfile.TemporaryDirectory() as tmp:
-        runs = []
         for name, (values, gap, witness, segments) in VECTORS.items():
             vec = os.path.join(tmp, f"{name}.json")
             part = os.path.join(tmp, f"{name}-partition.json")
@@ -101,20 +96,19 @@ def documents(reverse: bool = False) -> dict:
                 json.dump({"vector": values}, fh)
             with open(part, "w", encoding="utf-8") as fh:
                 json.dump({"segments": [{"top": t, "bottom": b} for t, b in segments]}, fh)
-            runs += [(name, gv, argv) for argv in _commands(vec, part, gv, gap, witness)]
-        for name, gv, argv in reversed(runs) if reverse else runs:
-            stdout, stderr = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-                code = main(argv)
-            record = {
-                "exit": code,
-                "stdout": stdout.getvalue().replace(gv, OUT),
-                "stderr": stderr.getvalue(),
-            }
-            if argv[0] == "dot":
-                with open(gv, encoding="utf-8") as fh:
-                    record["dot"] = fh.read()
-            out[f"{name}/{argv[0]}"] = record
+            for argv in _commands(vec, part, gv, gap, witness):
+                stdout, stderr = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                    code = main(argv)
+                record = {
+                    "exit": code,
+                    "stdout": stdout.getvalue().replace(gv, OUT),
+                    "stderr": stderr.getvalue(),
+                }
+                if argv[0] == "dot":
+                    with open(gv, encoding="utf-8") as fh:
+                        record["dot"] = fh.read()
+                out[f"{name}/{argv[0]}"] = record
     return out
 
 
