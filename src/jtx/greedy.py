@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import DomainError
-from .norm import ForceSegment, NormSolver, Partition, jt_norm_sq
+from .norm import NormSolver, Partition, jt_norm_sq
 from .tree import Node, Segment, _forest, canonical_order
 from .vector import TreeVector
 
@@ -210,5 +210,4 @@ def forced_segment_is_norming(x: TreeVector, s: Segment) -> bool:
         raise DomainError(f"segment top {head.path!r} is not a minimal support node")
     if x.segment_sum(s) != st.s[head]:
         raise DomainError("segment sum does not attain the maximal segment sum")
-    solver = NormSolver(x)
-    return solver.norm_sq((ForceSegment(s),)) == solver.norm_sq()
+    return NormSolver(x).forced_gap(s) == 0

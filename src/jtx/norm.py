@@ -33,7 +33,7 @@ cut query costs O(|skeleton| * table) however deep the chains run. A
 constrained solve splices the constraint nodes off the skeleton (pair
 endpoints, forced tops and bottoms) into the forest for that solve.
 
-Gaps and node isolation reuse the unconstrained tables. Separating a
+Gaps and forced segments reuse the unconstrained tables. Separating a
 child v from its parent cuts the edge above v, so
 gap(parent(v), v) = norm - closed(v) - outside(v): closed(v) is read
 from v's table, and outside(v), the best score on ran minus subtree(v),
@@ -45,10 +45,10 @@ parent without it against the cached sibling tables, then combines that
 visit's open entries with the parent's context. Every edge of a stretch
 cuts like the edge above the skeleton node below it. A partition
 separates comparable u < v iff it cuts an edge between them, so
-gap(u, v) is the least parent-child gap on that path. Isolating a node
-cuts the edges above and below it in the same way. Witness
-reconstruction and score-only queries share the same tables; the
-constrained DP serves every other constraint set.
+gap(u, v) is the least parent-child gap on that path. A forced segment,
+a node isolation included, cuts the edges above and below it alike.
+Witness reconstruction and score-only queries share the same tables;
+the constrained DP serves every other constraint set.
 
 A brute-force oracle enumerates all canonical families outright on
 small instances and shares no shortcut with the dynamic program.
@@ -224,7 +224,7 @@ class NormSolver:
     bottoms into the forest for that solve.
 
     The unconstrained solve keeps its DP tables, and the gap and
-    node-isolation queries are answered from them. Separating a child v
+    forced-segment queries are answered from them. Separating a child v
     from its parent cuts the edge above v, so
 
         gap(parent(v), v) = norm - closed(v) - outside(v)
@@ -241,10 +241,10 @@ class NormSolver:
     below the stretch, so each cut is scored once per skeleton node and
     memoised. A partition separates comparable u < v iff it cuts an edge
     between them, so gap(u, v) is the least of those edge gaps.
-    Isolating a node cuts the edges above and below it, so its best
-    score is val(a)^2 + sum of closed(k) over its skeleton kids +
-    outside(a); on a stretch node that is the cut of its stretch. No
-    query builds a witness.
+    A forced segment [t, b] cuts the edges above t and below b. Its best
+    score is outside(d), for d the first skeleton node at or below t,
+    plus s^2 for its sum s, plus closed(k) for the top skeleton node k
+    of each subtree hanging off it. No query builds a witness.
     """
 
     def __init__(self, x: TreeVector):
@@ -316,18 +316,23 @@ class NormSolver:
 
     def isolation_gap(self, a: Node) -> Fraction:
         """norm_sq minus the best score among partitions containing [a, a]."""
-        self._require_in_ran(a)
-        p = a.path
-        d = self._kept_below(p)
-        if d != p:
-            best = self._cut(d)  # a stretch node cuts like the edge above d
-        else:
-            best = (
-                self.val.get(p, 0) ** 2
-                + sum(self._closed(k) for k in self._skel.kids[p])
-                + self._outside(p)
-            )
-        return Fraction(self._total - best, self.den * self.den)
+        return self.forced_gap(Segment(a, a))
+
+    def forced_gap(self, seg: Segment) -> Fraction:
+        """norm_sq minus the best score among partitions containing seg."""
+        self._require_in_ran(seg.top)
+        self._require_in_ran(seg.bottom)
+        b, kids = seg.bottom.path, self._skel.kids
+        d = self._kept_below(seg.top.path)
+        best, s = self._outside(d), 0
+        while d is not None and b.startswith(d):  # d lies on seg
+            s += self.val.get(d, 0)
+            on = [k for k in kids[d] if b.startswith(k)]
+            best += sum(self._closed(k) for k in kids[d] if k not in on)
+            d = on[0] if on else None
+        if d is not None:  # seg lies in the stretch above d
+            best += self._closed(d)
+        return Fraction(self._total - best - s * s, self.den * self.den)
 
     # -- constraint intake ------------------------------------------------
 
@@ -420,10 +425,9 @@ class NormSolver:
         down from the nearest memoised ancestor, or from the component
         root, whose context is the other components' bests and {}.
         Only the contexts of v's kids read above(v), so a skeleton leaf
-        keeps it empty, and above(p) is emptied in place once every kid
-        of p has its context (each context owns its own map).
+        keeps it empty.
         """
-        contexts, up, kids = self._contexts, self._skel.up, self._skel.kids
+        contexts, up = self._contexts, self._skel.up
         path, w = [], v
         while w not in contexts and w in up:
             path.append(w)
@@ -431,10 +435,7 @@ class NormSolver:
         if w not in contexts:
             contexts[w] = (self._total - self._root_best[w][0], {})
         for c in reversed(path):
-            p = up[c]
-            contexts[c] = self._descend(c, contexts[p])
-            if all(k in contexts for k in kids[p]):
-                contexts[p][1].clear()
+            contexts[c] = self._descend(c, contexts[up[c]])
         return contexts[v]
 
     def _descend(

@@ -26,6 +26,26 @@ DEFAULT_DIGITS = 12
 MAX_DIGITS = 1000
 
 
+# -- JSON input -----------------------------------------------------------
+
+
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+    """Build one JSON object, rejecting a key it repeats (json keeps the last)."""
+    doc: dict = {}
+    for key, value in pairs:
+        if key in doc:
+            raise InputError(f"duplicate key {key!r} in a JSON object")
+        doc[key] = value
+    return doc
+
+
+def _load_json(stream: IO[str]) -> Any:
+    try:
+        return json.load(stream, object_pairs_hook=_unique_keys)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"invalid JSON: {exc}") from None
+
+
 # -- vectors ------------------------------------------------------------
 
 
@@ -45,11 +65,7 @@ def vector_from_doc(doc: Any, max_depth: int = DEFAULT_MAX_DEPTH) -> TreeVector:
 
 
 def load_vector(stream: IO[str], max_depth: int = DEFAULT_MAX_DEPTH) -> TreeVector:
-    try:
-        doc = json.load(stream)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"invalid JSON: {exc}") from None
-    return vector_from_doc(doc, max_depth)
+    return vector_from_doc(_load_json(stream), max_depth)
 
 
 # -- segments and partitions ---------------------------------------------
@@ -76,11 +92,7 @@ def partition_from_doc(doc: Any, max_depth: int = DEFAULT_MAX_DEPTH) -> Partitio
 
 
 def load_partition(stream: IO[str], max_depth: int = DEFAULT_MAX_DEPTH) -> Partition:
-    try:
-        doc = json.load(stream)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"invalid JSON: {exc}") from None
-    return partition_from_doc(doc, max_depth)
+    return partition_from_doc(_load_json(stream), max_depth)
 
 
 # -- decimal rendering ----------------------------------------------------

@@ -8,7 +8,7 @@ Claims:
       below 0 (or a non-integer JTX_ORACLE_CAP) exits 2 in the commands
       that read it and is ignored by the others
     - --digits accepts 0..1000 and vector values reject exponent forms,
-      both with exit 2
+      both with exit 2, as does a key repeated in a vector or partition file
     - a result too long to write out in decimal exits 2 with an error
       document, and extreme and witness find scales below 2^-64
     - isolatable builds one solver per command, and witness one solver on
@@ -369,6 +369,22 @@ class TestErrors:
         path.write_text("{broken")
         code, _, err = _run(capsys, ["norm", str(path)])
         assert code == 2
+
+    def test_repeated_node_key(self, tmp_path, capsys):
+        path = tmp_path / "dup.json"
+        path.write_text('{"vector": {"0": "1", "0": "-5", "": "2"}}')
+        code, out, err = _run(capsys, ["norm", str(path)])
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == {
+            "type": "InputError", "message": "duplicate key '0' in a JSON object"
+        }
+
+    def test_repeated_partition_key(self, vec_file, tmp_path, capsys):
+        part = tmp_path / "p.json"
+        part.write_text('{"segments": [], "segments": []}')
+        code, _, err = _run(capsys, ["consistent", vec_file, "--partition", str(part)])
+        assert code == 2
+        assert json.loads(err)["error"]["type"] == "InputError"
 
     def test_cap_exceeded(self, tmp_path, capsys):
         full = {"vector": {p: "1" for p in ["", "0", "1", "00", "01", "10", "11"]}}

@@ -302,6 +302,12 @@ class TestForcedSegment:
             # sum 1 does not attain the maximal segment sum 2
             forced_segment_is_norming(EX, Segment(Node(""), Node("")))
 
+    def test_bottom_outside_range(self):
+        x = TreeVector.from_dict({"": 1})
+        with pytest.raises(DomainError) as exc:
+            forced_segment_is_norming(x, Segment(Node(""), Node("0")))
+        assert str(exc.value) == "constraint node '0' lies outside ran(x)"
+
     def test_random_minimal_heads(self):
         rng = random.Random(36)
         for _ in range(60):

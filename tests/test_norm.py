@@ -11,9 +11,10 @@ Claims:
       incomparable pairs
     - constraint sets shrink the constrained optimum monotonically
     - restriction to a complete subtree never increases the norm
-    - parent-child gaps and node isolation answered from the cached
-      tables equal the constrained DP, and the score-only path equals
-      solve(...).norm_sq (hypothesis differential suites)
+    - parent-child gaps, node isolation and every forced segment
+      answered from the cached tables equal the constrained DP, and the
+      score-only path equals solve(...).norm_sq (hypothesis differential
+      suites); an endpoint outside ran(x) raises the constraint error
     - witness reconstruction runs at depths past the recursion limit
     - support-free stretch nodes that share their child's open entries
       leave every answer as the DP that rebuilds each node gave it:
@@ -32,7 +33,8 @@ Claims:
       separation scan scores one cut per skeleton edge
     - outside(v) read from the top-down contexts equals the path re-visit
       it replaced at every skeleton node, and so do every parent-child
-      gap and every isolation gap, whatever order the queries come in;
+      gap, every isolation gap and the forced gaps of segments from
+      three tops to every range node, whatever order the queries come in;
       a full separation scan makes one visit per skeleton node for the
       solve plus one per skeleton edge for the contexts
     - after a full separation scan every skeleton leaf has a memoised
@@ -570,6 +572,19 @@ class TestCutIdentity:
             assert NormSolver(x).norm_sq(constraints) == expected
             assert solver.norm_sq(constraints) == expected
 
+    @_DIFF
+    @given(signed_vectors())
+    @example(FOREST)
+    @example(EX)
+    def test_forced_segments_match_constrained_dp(self, x):
+        oracle = NormSolver(x)
+        norm = oracle.solve().norm_sq
+        solver = NormSolver(x)
+        ran = sorted(x.range(), key=Node.sort_key)
+        for seg in (Segment(t, b) for t in ran for b in ran if leq(t, b)):
+            expected = norm - oracle.solve((ForceSegment(seg),)).norm_sq
+            assert solver.forced_gap(seg) == expected, seg
+
     def test_non_adjacent_gap_matches_constrained_dp(self):
         x = TreeVector.from_dict({"": 1, "0": -1, "00": 1, "001": 2})
         solver = NormSolver(x)
@@ -579,8 +594,15 @@ class TestCutIdentity:
             )
 
     def test_isolation_outside_range(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError) as exc:
             NormSolver(EX).isolation_gap(Node("111"))
+        assert str(exc.value) == "constraint node '111' lies outside ran(x)"
+
+    def test_forced_segment_outside_range(self):
+        x = TreeVector.from_dict({"": 1})
+        with pytest.raises(DomainError) as exc:
+            NormSolver(x).forced_gap(Segment(Node(""), Node("0")))
+        assert str(exc.value) == "constraint node '0' lies outside ran(x)"
 
 
 class TestDeepChains:
@@ -1051,11 +1073,25 @@ def dense_chains(draw) -> TreeVector:
     )
 
 
+def _forced_segments(x: TreeVector) -> list[Segment]:
+    """For each range node b, the segments to b from the top, the middle
+    and the parent of its chain of range ancestors."""
+    ran = {n.path for n in x.range()}
+    segments = set()
+    for b in ran:
+        tops = [b[:k] for k in range(len(b)) if b[:k] in ran]
+        if tops:  # b is not a component root
+            for t in (tops[0], tops[len(tops) // 2], tops[-1]):
+                segments.add(Segment(Node(t), Node(b)))
+    return sorted(segments, key=Segment.sort_key)
+
+
 def _assert_contexts_match(x: TreeVector, shuffled) -> None:
-    """outside(v) at every skeleton node, every parent-child gap and every
-    isolation gap equal the path re-visit's; each kind of query runs on
-    a fresh solver in the order `shuffled` gives, so the lazy fills start
-    from different memoised ancestors."""
+    """outside(v) at every skeleton node, every parent-child gap, every
+    isolation gap and the forced gaps of `_forced_segments` equal the
+    path re-visit's; each kind of query runs on a fresh solver in the
+    order `shuffled` gives, so the lazy fills start from different
+    memoised ancestors."""
     ref = _PathRevisitSolver(x)
     solver = NormSolver(x)
     for v in shuffled(solver._skel.order):
@@ -1066,6 +1102,9 @@ def _assert_contexts_match(x: TreeVector, shuffled) -> None:
     solver = NormSolver(x)
     for a in shuffled(sorted(x.range(), key=Node.sort_key)):
         assert solver.isolation_gap(a) == ref.isolation_gap(a)
+    solver = NormSolver(x)
+    for seg in shuffled(_forced_segments(x)):
+        assert solver.forced_gap(seg) == ref.forced_gap(seg)
 
 
 def _drawn_order(data):
@@ -1129,30 +1168,3 @@ def test_leaf_contexts_keep_no_above(x):
     assert len(leaves) == 2 ** (len(max(leaves, key=len)))
     for v in leaves:
         assert solver._contexts[v][1] == {}
-
-
-def test_filled_parents_keep_no_above():
-    """Only the contexts of p's kids read above(p), so after a full scan of
-    a dense chain no context keeps an above map."""
-    rng = random.Random(7)
-    branch = format(rng.getrandbits(400), "0400b")
-    chain = TreeVector.from_dict(
-        {branch[:k]: Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
-         for k in range(401)},
-        max_depth=400,
-    )
-    solver = NormSolver(chain)
-    _separation_scan(solver, all_pairs=False, stop_on_blocked=False)
-    assert sorted(solver._contexts) == solver._skel.order
-    assert all(above == {} for _, above in solver._contexts.values())
-
-
-def test_parents_keep_above_until_every_kid_has_its_context():
-    x = TreeVector.from_dict({p: 1 for p in grid(4)})
-    solver = NormSolver(x)
-    solver.gap(Node("000"), Node("0000"))
-    for p in ("0", "00", "000"):  # each has a kid without its context
-        assert solver._contexts[p][1] != {}, p
-    solver.gap(Node("000"), Node("0001"))
-    assert solver._contexts["000"][1] == {}
-    assert solver._contexts["00"][1] != {}  # "001" has no context yet

@@ -2,7 +2,8 @@
 
 Claims:
     - vector and partition documents round-trip exactly
-    - malformed documents raise InputError with exit code 2 semantics
+    - malformed documents raise InputError with exit code 2 semantics,
+      and so does a key repeated in any JSON object of an input file
     - sqrt_decimal is correctly rounded at the last digit and accepts
       exactly 0..MAX_DIGITS digits
     - format_rational and sqrt_decimal raise InputError on values past
@@ -69,6 +70,15 @@ class TestVectorDocs:
         with pytest.raises(InputError):
             load_vector(io.StringIO("{not json"))
 
+    @pytest.mark.parametrize("text", [
+        '{"vector": {"0": "1", "0": "-5", "": "2"}}',
+        '{"vector": {"": "1", "": "1"}}',
+        '{"vector": {"0": "1"}, "vector": {"1": "1"}}',
+    ])
+    def test_load_rejects_repeated_keys(self, text):
+        with pytest.raises(InputError, match="^duplicate key "):
+            load_vector(io.StringIO(text))
+
 
 class TestPartitionDocs:
     def test_round_trip(self):
@@ -91,6 +101,11 @@ class TestPartitionDocs:
         }
         with pytest.raises(InvalidPartitionError):
             load_partition(io.StringIO(json.dumps(doc)))
+
+    def test_load_rejects_repeated_keys(self):
+        text = '{"segments": [{"top": "", "bottom": "0", "bottom": "00"}]}'
+        with pytest.raises(InputError, match="^duplicate key 'bottom' "):
+            load_partition(io.StringIO(text))
 
 
 class TestSqrtDecimal:
