@@ -39,9 +39,14 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
     return doc
 
 
+# one decoder for every load: json.load(..., object_pairs_hook=...) would
+# build a new decoder and scanner per call
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+
+
 def _load_json(stream: IO[str]) -> Any:
     try:
-        return json.load(stream, object_pairs_hook=_unique_keys)
+        return _DECODER.decode(stream.read())
     except json.JSONDecodeError as exc:
         raise InputError(f"invalid JSON: {exc}") from None
 
