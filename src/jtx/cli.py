@@ -12,7 +12,10 @@ as "1e50" are rejected), and every output value must fit the
 interpreter's limit on the digits of integer text. The oracle cap (from
 --oracle-cap or JTX_ORACLE_CAP) is an integer of at least 0; only the
 commands that read it (norm --oracle, enumerate-norming, witness)
-check it. No JSON object in an input file may repeat a key.
+check it. An input file is UTF-8 text, no JSON object in it may repeat
+a key, its nesting stays within the interpreter's recursion limit, a
+bare integer in it obeys the same digit limit, and a partition
+segment's top and bottom are strings.
 
 The argument parser is built once per process, on the first main()
 call, and reused by every later call: it holds no per-call state, since

@@ -29,9 +29,7 @@ Patricia tries). Every other range node lies on a support-free stretch:
 it carries 0 and has one range child, and no canonical segment ends on
 it, so its table would repeat its child's entries with the same keys
 and scores. Skipping it is therefore exact, and a pass, a witness or a
-cut query costs O(|skeleton| * table) however deep the chains run. A
-constrained solve splices the constraint nodes off the skeleton (pair
-endpoints, forced tops and bottoms) into the forest for that solve.
+cut query costs O(|skeleton| * table) however deep the chains run.
 
 Gaps and forced segments reuse the unconstrained tables. Separating a
 child v from its parent cuts the edge above v, so
@@ -47,8 +45,15 @@ cuts like the edge above the skeleton node below it. A partition
 separates comparable u < v iff it cuts an edge between them, so
 gap(u, v) is the least parent-child gap on that path. A forced segment,
 a node isolation included, cuts the edges above and below it alike.
-Witness reconstruction and score-only queries share the same tables;
-the constrained DP serves every other constraint set.
+Witness reconstruction and score-only queries share the same tables.
+
+The constrained DP serves only the public solve(constraints) and
+norm_sq(constraints). It splices the pair endpoints and forced tops and
+bottoms that lie off the skeleton into the forest for that solve. It
+then cuts each forced segment out, as forced_gap does: the segment's
+chain leaves the forest, every subtree hanging off it becomes a
+component of its own, and the segment adds its s^2. Separation masks
+are therefore the one constraint the tables see.
 
 A brute-force oracle enumerates all canonical families outright on
 small instances and shares no shortcut with the dynamic program.
@@ -175,31 +180,12 @@ class _SepSpec:
             self.lower_at[v] = self.lower_at.get(v, ()) + (i,)
 
 
-class _ForcedSpec:
-    """Forced segments, expanded to per-node membership along their chains."""
-
-    __slots__ = ("segments", "member_of", "top", "bottom")
-
-    def __init__(self, segments: list[Segment]):
-        self.segments = segments
-        self.member_of: dict[str, int] = {}
-        self.top: list[str] = []
-        self.bottom: list[str] = []
-        for idx, seg in enumerate(segments):
-            t, b = seg.top.path, seg.bottom.path
-            self.top.append(t)
-            self.bottom.append(b)
-            for k in range(len(t), len(b) + 1):
-                self.member_of[b[:k]] = idx
-
-
 _DONE = ("cdone",)
 
-# The empty constraint set, shared by every unconstrained solve.
+# The empty separation set, shared by every unconstrained solve.
 _NO_SEP = _SepSpec([])
-_NO_FORCED = _ForcedSpec([])
 
-# A node's DP table: ("done" entry or None, open-segment entries).
+# A node's DP table: (done entry, open-segment entries).
 # done:  (score, choice) with no segment passing up through the node.
 # opens: {(open sum, mask): (score, choice)} with one segment open through
 #        the node; its square is not yet counted in score. The mask is the
@@ -221,7 +207,8 @@ class NormSolver:
     and up), so it costs O(|skeleton| * table) rather than O(|ran|); the
     module docstring says why skipping the other range nodes is exact.
     A constrained solve splices its pair endpoints and forced tops and
-    bottoms into the forest for that solve.
+    bottoms into the forest for that solve, then cuts each forced
+    segment's chain out of it.
 
     The unconstrained solve keeps its DP tables, and the gap and
     forced-segment queries are answered from them. Separating a child v
@@ -260,7 +247,7 @@ class NormSolver:
         # The unconstrained DP: every skeleton node's table, each
         # component root's best (score, closure choice) and their total.
         self._tables: dict[str, _Table] = {}
-        self._root_best = self._dp(_NO_SEP, _NO_FORCED, self._skel, self._tables)
+        self._root_best = self._dp(_NO_SEP, self._skel, self._tables)
         self._total = sum(best[0] for best in self._root_best.values())
         self._cuts: dict[str, int] = {}  # skeleton node -> best score cutting above it
         # skeleton node -> (outside(v), above(v)); see _context
@@ -287,12 +274,13 @@ class NormSolver:
     # -- public ---------------------------------------------------------
 
     def solve(self, constraints: Iterable[Constraint] = ()) -> NormResult:
-        return self._result(*self._solve(*self._normalize(constraints)))
+        sep, forced = self._normalize(constraints)
+        return self._result(forced, *self._solve(sep, forced))
 
     def norm_sq(self, constraints: Iterable[Constraint] = ()) -> Fraction:
         """solve(constraints).norm_sq, without building the witness."""
-        _, _, bests = self._solve(*self._normalize(constraints))
-        return Fraction(sum(best[0] for best in bests.values()), self.den * self.den)
+        sep, forced = self._normalize(constraints)
+        return self._score(forced, self._solve(sep, forced)[2])
 
     def gap(self, u: Node, v: Node) -> Fraction:
         """norm_sq minus the best score among partitions separating u and v."""
@@ -336,7 +324,7 @@ class NormSolver:
 
     # -- constraint intake ------------------------------------------------
 
-    def _normalize(self, constraints: Iterable[Constraint]) -> tuple[_SepSpec, _ForcedSpec]:
+    def _normalize(self, constraints: Iterable[Constraint]) -> tuple[_SepSpec, list[Segment]]:
         pairs: set[tuple[str, str]] = set()
         forced: set[Segment] = set()
         for c in constraints:
@@ -363,7 +351,12 @@ class NormSolver:
             Partition(frozenset(forced))
         except InvalidPartitionError as exc:
             raise InfeasibleError(f"forced {exc}") from None
-        return _SepSpec(sorted(pairs)), _ForcedSpec(sorted(forced, key=Segment.sort_key))
+        # a pair inside one forced segment cannot be separated; a pair with
+        # one node on a forced segment always is, as the solve cuts that node out
+        chains = [(s.top.path, s.bottom.path) for s in forced]
+        if any(u.startswith(t) and b.startswith(v) for u, v in pairs for t, b in chains):
+            raise InfeasibleError("no partition satisfies the constraint set")
+        return _SepSpec(sorted(pairs)), sorted(forced, key=Segment.sort_key)
 
     def _require_in_ran(self, node: Node) -> None:
         if node.path not in self.ran:
@@ -371,22 +364,39 @@ class NormSolver:
 
     # -- scores -------------------------------------------------------------
 
-    def _solve(self, sep: _SepSpec, forced: _ForcedSpec) -> tuple[_Forest, dict, dict]:
+    def _solve(self, sep: _SepSpec, forced: list[Segment]) -> tuple[_Forest, dict, dict]:
         """The forest a pass visits, its tables and each root's best closure.
 
         The empty constraint set returns the pass solved at construction.
         Any other set splices the pair endpoints and the forced tops and
-        bottoms that lie off the skeleton into the forest for its pass.
-        The interior nodes of a forced segment need no table: each would
-        pass its child's open entries up unchanged.
+        bottoms that lie off the skeleton into the forest for its pass,
+        then cuts the forest nodes on each forced segment out of it: a
+        node that hung off the segment becomes a root, so its subtree
+        closes. Running the segment through the DP instead would add one
+        constant to every candidate at its top's parent, so every argmax
+        and tie-break stays the same.
         """
-        if not sep.upper and not forced.segments:
+        if not sep.upper and not forced:
             return self._skel, self._tables, self._root_best
-        ends = {*sep.upper, *sep.lower_at, *forced.top, *forced.bottom}
+        ends = {*sep.upper, *sep.lower_at}
+        ends.update(n.path for seg in forced for n in (seg.top, seg.bottom))
         extra = [p for p in ends if p not in self._skel.kids]
         forest = _forest(sorted(self._skel.order + extra)) if extra else self._skel
+        cut: set[str] = set()
+        for seg in forced:
+            p = seg.bottom.path
+            while p is not None and len(p) >= seg.top.depth:
+                cut.add(p)
+                p = forest.up.get(p)
+        forest = forest.without(cut) if cut else forest
         tables: dict[str, _Table] = {}
-        return forest, tables, self._dp(sep, forced, forest, tables)
+        return forest, tables, self._dp(sep, forest, tables)
+
+    def _score(self, forced: list[Segment], bests: dict) -> Fraction:
+        """The roots' best closures plus s^2 for each forced segment of sum s."""
+        total = sum(best[0] for best in bests.values())
+        total += sum(int(self.x.segment_sum(seg) * self.den) ** 2 for seg in forced)
+        return Fraction(total, self.den * self.den)
 
     def _kept_below(self, p: str) -> str:
         """The nearest skeleton node at or below the range node p.
@@ -406,7 +416,7 @@ class NormSolver:
 
     def _closed(self, c: str) -> int:
         """Best unconstrained score of subtree(c) with nothing open above c."""
-        return self._closed_best(c, self._tables[c], _NO_FORCED)[0]
+        return self._closed_best(c, self._tables[c])[0]
 
     def _outside(self, v: str) -> int:
         """Best unconstrained score on ran minus subtree(v), for a skeleton node v.
@@ -452,8 +462,8 @@ class NormSolver:
         outside_p, above_p = parent_context
         p = self._skel.up[v]
         siblings = [c for c in self._skel.kids[p] if c != v]
-        done, opens = table = self._visit(p, siblings, self._tables, _NO_SEP, _NO_FORCED)
-        outside = outside_p + self._closed_best(p, table, _NO_FORCED)[0]
+        done, opens = table = self._visit(p, siblings, self._tables, _NO_SEP)
+        outside = outside_p + self._closed_best(p, table)[0]
         for (s, _), (sc, _) in opens.items():
             for t, rest in above_p.items():
                 cand = sc + rest + (s + t) * (s + t)
@@ -471,124 +481,71 @@ class NormSolver:
 
     # -- the dynamic program ----------------------------------------------
 
-    def _dp(
-        self, sep: _SepSpec, forced: _ForcedSpec, forest: _Forest, tables: dict
-    ) -> dict[str, tuple]:
+    def _dp(self, sep: _SepSpec, forest: _Forest, tables: dict) -> dict[str, tuple]:
         """Fill every table of the forest; return each component root's best closure.
 
         Reversed sorted order visits every node after its descendants.
         """
         for p in reversed(forest.order):
-            tables[p] = self._visit(p, forest.kids[p], tables, sep, forced)
-        bests = {}
-        for root in forest.roots:
-            bests[root] = self._closed_best(root, tables[root], forced)
-            if bests[root] is None:
-                raise InfeasibleError("no partition satisfies the constraint set")
-        return bests
+            tables[p] = self._visit(p, forest.kids[p], tables, sep)
+        return {root: self._closed_best(root, tables[root]) for root in forest.roots}
 
-    def _result(self, forest: _Forest, tables: dict, bests: dict) -> NormResult:
-        total = 0
-        segments: list[Segment] = []
-        for root, (value, closure) in bests.items():
-            total += value
+    def _result(
+        self, forced: list[Segment], forest: _Forest, tables: dict, bests: dict
+    ) -> NormResult:
+        segments = list(forced)
+        for root, (_, closure) in bests.items():
             segments.extend(self._reconstruct(root, closure, tables, forest.kids))
-        return NormResult(
-            Fraction(total, self.den * self.den), Partition(frozenset(segments))
-        )
+        return NormResult(self._score(forced, bests), Partition(frozenset(segments)))
 
     @staticmethod
     def _sorted_keys(opens: dict) -> list[tuple[int, tuple[int, ...]]]:
         return sorted(opens)
 
-    def _close_allowed(self, p: str, forced: _ForcedSpec) -> bool:
-        idx = forced.member_of.get(p)
-        if idx is not None:
-            return forced.top[idx] == p
-        return p in self.supp
-
-    def _closed_best(self, c: str, table: _Table, forced: _ForcedSpec):
-        """Best score of the child's subtree with no segment open into the parent.
-
-        Returns (score, closure-choice) or None when the child cannot be
-        closed off (a forced segment still runs through it).
-        """
-        done, opens = table
-        best = None
-        if done is not None:
-            best = (done[0], _DONE)
-        if self._close_allowed(c, forced):
+    def _closed_best(self, c: str, table: _Table) -> tuple:
+        """Best (score, closure choice) of c's subtree with no segment open
+        into its parent; an open segment may close at c only when c is in
+        the support."""
+        (done, _), opens = table
+        best = (done, _DONE)
+        if c in self.supp:
             for key in self._sorted_keys(opens):
                 cand = opens[key][0] + key[0] * key[0]
-                if best is None or cand > best[0]:
+                if cand > best[0]:
                     best = (cand, ("cclose", key))
         return best
 
-    def _visit(
-        self, p: str, kids: list[str], tables: dict, sep: _SepSpec, forced: _ForcedSpec
-    ) -> _Table:
-        kid_closed = [self._closed_best(c, tables[c], forced) for c in kids]
+    def _visit(self, p: str, kids: list[str], tables: dict, sep: _SepSpec) -> _Table:
+        """p's table from its kids' tables.
+
+        Every kid closes, or the segment open through one kid climbs
+        through p while the others close; a segment may also start at p
+        when p is in the support. A pair has one lower node, so a kid's
+        keys map one to one onto p's and its offers never meet. On a tie
+        the earlier offer keeps the key: the start, then bit-0 kid first.
+        """
+        closed = [self._closed_best(c, tables[c]) for c in kids]
+        total = sum(kc[0] for kc in closed)
+        closures = tuple(kc[1] for kc in closed)
         xv = self.val.get(p, 0)
         start_mask = sep.lower_at.get(p, ())
         check_pairs = frozenset(sep.upper_at.get(p, ()))
-
-        all_closed = None
-        if all(kc is not None for kc in kid_closed):
-            all_closed = (
-                sum(kc[0] for kc in kid_closed),
-                tuple(kc[1] for kc in kid_closed),
-            )
-
         opens: dict[tuple[int, tuple[int, ...]], tuple[int, tuple]] = {}
-
-        def offer(key, entry):
-            old = opens.get(key)
-            if old is None or entry[0] > old[0]:
-                opens[key] = entry
-
-        def extend_through(child_index: int) -> None:
-            """One segment climbs from this child through p; the rest close."""
-            others = [kc for j, kc in enumerate(kid_closed) if j != child_index]
-            if any(kc is None for kc in others):
-                return
-            rest = sum(kc[0] for kc in others)
-            closures = tuple(
-                None if j == child_index else kid_closed[j][1]
-                for j in range(len(kids))
-            )
-            c = kids[child_index]
-            c_opens = tables[c][1]
-            for key in self._sorted_keys(c_opens):
+        if p in self.supp:
+            opens[(xv, start_mask)] = (total, ("start", closures))
+        for i, c in enumerate(kids):
+            rest = total - closed[i][0]
+            for key, (sc, _) in tables[c][1].items():
                 s, mask = key
                 if check_pairs and not check_pairs.isdisjoint(mask):
                     continue  # the segment would contain both nodes of a pair
-                if start_mask:  # a pair has one lower node, so no index repeats
+                if start_mask:
                     mask = tuple(sorted(mask + start_mask))
-                entry = (c_opens[key][0] + rest, ("ext", child_index, key, closures))
-                offer((s + xv, mask), entry)
-
-        fidx = forced.member_of.get(p)
-        if fidx is not None:
-            if forced.bottom[fidx] == p:
-                # the forced segment starts here; everything below it closes
-                if all_closed is not None:
-                    opens[(xv, start_mask)] = (all_closed[0], ("start", all_closed[1]))
-            else:
-                # mid-segment: extend toward the forced bottom, close the rest
-                bottom = forced.bottom[fidx]
-                extend_through(next(i for i, c in enumerate(kids) if bottom.startswith(c)))
-            return (None, opens)
-
-        done = None
-        if all_closed is not None:
-            done = (all_closed[0], ("done", all_closed[1]))
-            if p in self.supp:
-                offer((xv, start_mask), (all_closed[0], ("start", all_closed[1])))
-        for i, c in enumerate(kids):
-            if c in forced.member_of:
-                continue  # a forced segment may not grow past its own top
-            extend_through(i)
-        return (done, opens)
+                new, cand = (s + xv, mask), sc + rest
+                old = opens.get(new)
+                if old is None or cand > old[0]:
+                    opens[new] = (cand, ("ext", i, key, closures))
+        return ((total, ("done", closures)), opens)
 
     # -- witness extraction ------------------------------------------------
 
@@ -604,10 +561,11 @@ class NormSolver:
         segments: list[Segment] = []
         stack: list[tuple[str, tuple]] = [(root, closure)]
 
-        def push(p: str, closures: tuple) -> None:
-            for c, cl in zip(kids[p], closures):
-                if cl is not None:  # None marks the segment that climbed through p
-                    stack.append((c, cl))
+        def push(p: str, closures: tuple, climbed: int = -1) -> None:
+            """Queue p's kids with their closures, but the kid the segment climbed from."""
+            stack.extend(
+                (c, cl) for i, (c, cl) in enumerate(zip(kids[p], closures)) if i != climbed
+            )
 
         while stack:
             top, cl = stack.pop()
@@ -622,7 +580,7 @@ class NormSolver:
                     segments.append(Segment(Node(top), Node(p)))
                     break
                 _, child_index, child_key, closures = choice
-                push(p, closures)
+                push(p, closures, child_index)
                 p = kids[p][child_index]
                 k = child_key
         return segments

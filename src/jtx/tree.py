@@ -187,6 +187,14 @@ class _Forest(NamedTuple):
     up: dict[str, str]
     roots: list[str]
 
+    def without(self, cut: set[str]) -> _Forest:
+        """The forest minus the paths in cut; no link is made across them,
+        so a path whose nearest ancestor is cut becomes a root."""
+        order = [p for p in self.order if p not in cut]
+        up = {p: a for p, a in self.up.items() if p not in cut and a not in cut}
+        kids = {p: [k for k in self.kids[p] if k not in cut] for p in order}
+        return _Forest(order, kids, up, [p for p in order if p not in up])
+
 
 def _forest(order: list[str]) -> _Forest:
     """Link lexicographically sorted, distinct node paths into a forest.

@@ -46,9 +46,15 @@ _DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
 
 def _load_json(stream: IO[str]) -> Any:
     try:
-        return _DECODER.decode(stream.read())
-    except json.JSONDecodeError as exc:
+        text = stream.read()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"input is not UTF-8 text: {exc}") from None
+    try:
+        return _DECODER.decode(text)
+    except ValueError as exc:  # also a bare integer past the interpreter's digit limit
         raise InputError(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise InputError("invalid JSON: nested deeper than the recursion limit") from None
 
 
 # -- vectors ------------------------------------------------------------
@@ -83,7 +89,11 @@ def segment_to_doc(s: Segment) -> dict:
 def segment_from_doc(doc: Any, max_depth: int = DEFAULT_MAX_DEPTH) -> Segment:
     if not isinstance(doc, dict) or "top" not in doc or "bottom" not in doc:
         raise InputError('segment document must be {"top": "...", "bottom": "..."}')
-    return Segment(parse_node(doc["top"], max_depth), parse_node(doc["bottom"], max_depth))
+    ends = (doc["top"], doc["bottom"])
+    for end in ends:
+        if not isinstance(end, str):
+            raise InputError(f"segment ends must be strings, got {end!r}")
+    return Segment(*(parse_node(end, max_depth) for end in ends))
 
 
 def partition_to_doc(p: Partition) -> dict:

@@ -8,7 +8,11 @@ Claims:
       below 0 (or a non-integer JTX_ORACLE_CAP) exits 2 in the commands
       that read it and is ignored by the others
     - --digits accepts 0..1000 and vector values reject exponent forms,
-      both with exit 2, as does a key repeated in a vector or partition file
+      both with exit 2, as do a key repeated in a vector or partition file,
+      a partition segment end that is not a string, a vector or partition
+      file that is not UTF-8, a bare integer past the interpreter's
+      4,300-digit limit on integer text and JSON nested past the
+      recursion limit, each with an InputError document
     - a result too long to write out in decimal exits 2 with an error
       document, and extreme and witness find scales below 2^-64
     - isolatable builds one solver per command, and witness one solver on
@@ -385,6 +389,50 @@ class TestErrors:
         code, _, err = _run(capsys, ["consistent", vec_file, "--partition", str(part)])
         assert code == 2
         assert json.loads(err)["error"]["type"] == "InputError"
+
+    @pytest.mark.parametrize("data, message", [
+        (b'{"segments": [{"top": 1, "bottom": "0"}]}', "segment ends must be strings, got 1"),
+        (b'{"segments": [{"top": "\xff", "bottom": "0"}]}', "input is not UTF-8 text: "),
+    ])
+    def test_malformed_partition_file(self, vec_file, tmp_path, capsys, data, message):
+        part = tmp_path / "p.json"
+        part.write_bytes(data)
+        code, out, err = _run(capsys, ["consistent", vec_file, "--partition", str(part)])
+        assert (code, out) == (2, "")
+        error = json.loads(err)["error"]
+        assert error["type"] == "InputError" and error["message"].startswith(message)
+
+    def test_non_utf8_vector_file(self, tmp_path, capsys):
+        path = tmp_path / "x.json"
+        path.write_bytes(b'{"vector": {"": "1\xff"}}')
+        code, out, err = _run(capsys, ["norm", str(path)])
+        assert (code, out) == (2, "")
+        error = json.loads(err)["error"]
+        assert error["type"] == "InputError"
+        assert error["message"].startswith("input is not UTF-8 text: 'utf-8' codec can't decode")
+
+    def test_nesting_past_the_recursion_limit(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text('{"vector": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        code, out, err = _run(capsys, ["norm", str(path)])
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == {
+            "type": "InputError",
+            "message": "invalid JSON: nested deeper than the recursion limit",
+        }
+
+    def test_bare_integer_past_the_digit_limit(self, tmp_path, capsys):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            for kind, value in (("bare", "1" * 4301), ("string", '"' + "1" * 4301 + '"')):
+                path = tmp_path / f"{kind}.json"
+                path.write_text('{"vector": {"": ' + value + "}}")
+                code, out, err = _run(capsys, ["norm", str(path)])
+                assert (code, out) == (2, ""), kind
+                assert json.loads(err)["error"]["type"] == "InputError"
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     def test_cap_exceeded(self, tmp_path, capsys):
         full = {"vector": {p: "1" for p in ["", "0", "1", "00", "01", "10", "11"]}}

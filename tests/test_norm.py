@@ -7,6 +7,11 @@ Claims:
       same-top families)
     - the DP equals the brute-force oracle on every tested instance
     - witnesses are canonical, score their own norm, satisfy constraints
+    - up to two forced segments (zero endpoints and chains inside
+      support-free stretches included) with up to two pairs inside, across
+      or off them: solve and norm_sq equal the brute-force best over
+      canonical families joined with the forced segments, and
+      InfeasibleError is raised exactly when no family qualifies
     - separation gaps match the worked example and vanish on
       incomparable pairs
     - constraint sets shrink the constrained optimum monotonically
@@ -24,7 +29,8 @@ Claims:
     - inside a support-free stretch, the gap above a node, the gap below
       it and its isolation gap are equal
     - the DP keeps tables exactly on the skeleton (support, branch nodes
-      and the constraint nodes of a solve), each equal to the full-range
+      and the constraint nodes of a solve, less the nodes on forced
+      segments, which the solve cuts out), each equal to the full-range
       DP's table at that node, also with both ends of a separation pair
       inside one stretch; a sparse 800-level chain with k support nodes
       costs at most 2k node visits
@@ -47,10 +53,11 @@ import itertools
 import json
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
-from helpers import grid, random_signed, support_paths
+from helpers import chain_vector, grid, random_signed, support_paths
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -84,7 +91,7 @@ from jtx import (
     segments_disjoint,
 )
 from jtx.extremality import _separation_scan
-from jtx.norm import _NO_FORCED, _NO_SEP
+from jtx.norm import _NO_SEP
 from jtx.wire import norm_result_doc
 
 
@@ -407,6 +414,86 @@ class TestConstrained:
         assert tested >= 30
 
 
+def _brute_force_best(x: TreeVector, forced, pairs):
+    """Best score over canonical families joined with the forced segments
+    that stay disjoint and separate every pair; None when none does."""
+    best = None
+    for p in _all_canonical_partitions(x):
+        family = set(p.segments) | set(forced)
+        if any(not segments_disjoint(a, b) for a, b in itertools.combinations(family, 2)):
+            continue
+        if any(u in s and v in s for s in family for u, v in pairs):
+            continue
+        total = sum((x.segment_sum(s) ** 2 for s in family), Fraction(0))
+        best = total if best is None else max(best, total)
+    return best
+
+
+def _draw_pair(rng: random.Random, ran: list[Node], forced: list[Segment]):
+    """A comparable pair with one node inside a forced segment, both inside,
+    one above and one below it, or anywhere; returns (kind, pair) or None."""
+    kind = rng.choice(["one", "both", "straddle", "straddle", "any"]) if forced else "any"
+    if kind == "any":
+        candidates = comparable_pairs(ran)
+    elif kind == "one":
+        candidates = [(u, v) for seg in forced for u in ran for v in ran
+                      if u in seg and v not in seg and comparable(u, v)]
+    elif kind == "both":
+        candidates = [(u, v) for seg in forced for u in ran for v in ran
+                      if u != v and u in seg and v in seg]
+    else:
+        candidates = [(u, v) for seg in forced for u in ran for v in ran
+                      if leq(u, seg.top) and u != seg.top and leq(seg.bottom, v)
+                      and v != seg.bottom]
+    return (kind, rng.choice(candidates)) if candidates else None
+
+
+class TestForcedSegmentsAgainstBruteForce:
+    """An independent referee for the forced-segment cut: brute force over
+    canonical families, with no DP state shared."""
+
+    def test_forced_segments_and_pairs_match_brute_force(self):
+        rng = random.Random(31)
+        seen: Counter[str] = Counter()
+        for _ in range(200):
+            x = random_signed(rng, max_depth=3, max_ran=9) if rng.random() < 0.5 else (
+                chain_vector(rng, max_depth=8))
+            ran = sorted(x.range(), key=Node.sort_key)
+            forced = []
+            for _ in range(rng.randint(1, 2)):
+                top = rng.choice(ran)
+                below = [b for b in ran if leq(top, b) and b != top]
+                bottom = rng.choice(below) if below and rng.random() < 0.7 else top
+                forced.append(Segment(top, bottom))
+            drawn = [_draw_pair(rng, ran, forced) for _ in range(rng.randint(0, 2))]
+            drawn = [d for d in drawn if d]
+            pairs = [pair for _, pair in drawn]
+            seen.update(kind for kind, _ in drawn)
+            for seg in forced:
+                on = [n for n in ran if n in seg]
+                seen["zero end"] += x.value(seg.top) == 0 or x.value(seg.bottom) == 0
+                seen["support-free"] += all(x.value(n) == 0 for n in on)
+            constraints = [ForceSegment(seg) for seg in forced]
+            constraints += [SeparatePair(u, v) for u, v in pairs]
+            best = _brute_force_best(x, forced, pairs)
+            if best is None:
+                seen["infeasible"] += 1
+                with pytest.raises(InfeasibleError):
+                    NormSolver(x).solve(constraints)
+                with pytest.raises(InfeasibleError):
+                    NormSolver(x).norm_sq(constraints)
+                continue
+            res = NormSolver(x).solve(constraints)
+            assert res.norm_sq == best == NormSolver(x).norm_sq(constraints)
+            assert score(x, res.witness) == best
+            for seg in forced:
+                assert seg in res.witness.segments
+            for u, v in pairs:
+                assert not any(u in s and v in s for s in res.witness.segments)
+        assert min(seen[k] for k in ("one", "both", "straddle", "any", "infeasible")) >= 10, seen
+        assert seen["zero end"] >= 20 and seen["support-free"] >= 5, seen
+
+
 class TestGap:
     def test_worked_example(self):
         assert gap(EX, Node(""), Node("0")) == 2
@@ -632,7 +719,9 @@ class _RebuildEveryNodeSolver(NormSolver):
 
     Its forest is the whole range, so every range node gets a table and
     rebuilds its open entries; masks are frozensets of pair indices, and
-    keys sort by (open sum, sorted mask tuple).
+    keys sort by (open sum, sorted mask tuple). It shares `_solve`, whose
+    forest cut handles forced segments, so it does not check them:
+    `test_forced_segments_and_pairs_match_brute_force` does.
     """
 
     def _skeleton(self):
@@ -642,18 +731,13 @@ class _RebuildEveryNodeSolver(NormSolver):
     def _sorted_keys(opens):
         return sorted(opens, key=lambda k: (k[0], tuple(sorted(k[1]))))
 
-    def _visit(self, p, kids, tables, sep, forced):
-        kid_closed = [self._closed_best(c, tables[c], forced) for c in kids]
+    def _visit(self, p, kids, tables, sep):
+        kid_closed = [self._closed_best(c, tables[c]) for c in kids]
         xv = self.val.get(p, 0)
         start_mask = frozenset(sep.lower_at.get(p, ()))
         check_bits = frozenset(sep.upper_at.get(p, ()))
-
-        all_closed = None
-        if all(kc is not None for kc in kid_closed):
-            all_closed = (
-                sum(kc[0] for kc in kid_closed),
-                tuple(kc[1] for kc in kid_closed),
-            )
+        all_closed = sum(kc[0] for kc in kid_closed)
+        closures = tuple(kc[1] for kc in kid_closed)
 
         opens = {}
 
@@ -662,43 +746,18 @@ class _RebuildEveryNodeSolver(NormSolver):
             if old is None or entry[0] > old[0]:
                 opens[key] = entry
 
-        def extend_through(child_index):
-            others = [kc for j, kc in enumerate(kid_closed) if j != child_index]
-            if any(kc is None for kc in others):
-                return
-            rest = sum(kc[0] for kc in others)
-            closures = tuple(
-                None if j == child_index else kid_closed[j][1] for j in range(len(kids))
-            )
-            c = kids[child_index]
+        if p in self.supp:
+            offer((xv, start_mask), (all_closed, ("start", closures)))
+        for i, c in enumerate(kids):
+            rest = sum(kc[0] for j, kc in enumerate(kid_closed) if j != i)
             c_opens = tables[c][1]
             for key in self._sorted_keys(c_opens):
                 s, mask = key
                 if mask & check_bits:
                     continue
                 new_key = (s + xv, mask | start_mask)
-                offer(new_key, (c_opens[key][0] + rest, ("ext", child_index, key, closures)))
-
-        fidx = forced.member_of.get(p)
-        if fidx is not None:
-            if forced.bottom[fidx] == p:
-                if all_closed is not None:
-                    opens[(xv, start_mask)] = (all_closed[0], ("start", all_closed[1]))
-            else:
-                chain_child = forced.bottom[fidx][: len(p) + 1]
-                extend_through(kids.index(chain_child))
-            return (None, opens)
-
-        done = None
-        if all_closed is not None:
-            done = (all_closed[0], ("done", all_closed[1]))
-            if p in self.supp:
-                offer((xv, start_mask), (all_closed[0], ("start", all_closed[1])))
-        for i, c in enumerate(kids):
-            if c in forced.member_of:
-                continue
-            extend_through(i)
-        return (done, opens)
+                offer(new_key, (c_opens[key][0] + rest, ("ext", i, key, closures)))
+        return ((all_closed, ("done", closures)), opens)
 
 
 def _bits(depth: int):
@@ -856,18 +915,20 @@ class TestStretchPassThrough:
 def _skeleton_nodes(x: TreeVector, constraints=()) -> set[str]:
     """The support, every range node with two range children, and the
     nodes the constraints splice in: comparable pair endpoints and
-    forced tops and bottoms."""
+    forced tops and bottoms; less every node on a forced segment, which
+    the solve cuts out of its forest."""
     ran = {n.path for n in x.range()}
     nodes = {n.path for n in x.support()}
     nodes |= {p for p in ran if p + "0" in ran and p + "1" in ran}
+    forced = []
     for c in constraints:
         if isinstance(c, SeparatePair) and (leq(c.u, c.v) or leq(c.v, c.u)):
             nodes |= {c.u.path, c.v.path}
         elif isinstance(c, IsolateNode):
-            nodes.add(c.node.path)
+            forced.append((c.node.path, c.node.path))
         elif isinstance(c, ForceSegment):
-            nodes |= {c.segment.top.path, c.segment.bottom.path}
-    return nodes
+            forced.append((c.segment.top.path, c.segment.bottom.path))
+    return {p for p in nodes if not any(b.startswith(p) and p.startswith(t) for t, b in forced)}
 
 
 def _assert_tables_match(x: TreeVector, constraints) -> None:
@@ -886,8 +947,7 @@ def _assert_tables_match(x: TreeVector, constraints) -> None:
     assert tables.keys() == _skeleton_nodes(x, constraints)
     for p, (done, opens) in tables.items():
         ref_done, ref_opens = ref_tables[p]
-        assert (done is None) == (ref_done is None)
-        assert done is None or done[0] == ref_done[0]
+        assert done[0] == ref_done[0]
         keys = solver._sorted_keys(opens)
         ref_keys = ref._sorted_keys(ref_opens)
         assert keys == [(s, tuple(sorted(m))) for s, m in ref_keys]
@@ -1045,12 +1105,12 @@ class _PathRevisitSolver(NormSolver):
             else:
                 ks = kids[p]
             local = {c: table if c == child else tables[c] for c in ks}
-            table = self._visit(p, ks, local, _NO_SEP, _NO_FORCED)
+            table = self._visit(p, ks, local, _NO_SEP)
             child, p = p, up.get(p)
         rest = self._total - self._root_best[child][0]
         if table is None:
             return rest  # v is a component root
-        return rest + self._closed_best(child, table, _NO_FORCED)[0]
+        return rest + self._closed_best(child, table)[0]
 
 
 @st.composite

@@ -3,7 +3,10 @@
 Claims:
     - vector and partition documents round-trip exactly
     - malformed documents raise InputError with exit code 2 semantics,
-      and so does a key repeated in any JSON object of an input file
+      and so do a key repeated in any JSON object of an input file, a
+      segment end that is not a string, bytes that are not UTF-8, a bare
+      integer past the interpreter's limit on integer text and nesting
+      past its recursion limit
     - sqrt_decimal is correctly rounded at the last digit and accepts
       exactly 0..MAX_DIGITS digits
     - format_rational and sqrt_decimal raise InputError on values past
@@ -106,6 +109,42 @@ class TestPartitionDocs:
         text = '{"segments": [{"top": "", "bottom": "0", "bottom": "00"}]}'
         with pytest.raises(InputError, match="^duplicate key 'bottom' "):
             load_partition(io.StringIO(text))
+
+    @pytest.mark.parametrize("segment, shown", [
+        ({"top": 1, "bottom": "0"}, "1"),
+        ({"top": "", "bottom": None}, "None"),
+        ({"top": ["0"], "bottom": "0"}, "['0']"),
+    ])
+    def test_segment_ends_must_be_strings(self, segment, shown):
+        with pytest.raises(InputError) as exc:
+            load_partition(io.StringIO(json.dumps({"segments": [segment]})))
+        assert str(exc.value) == f"segment ends must be strings, got {shown}"
+
+
+def _utf8_stream(data: bytes) -> io.TextIOWrapper:
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+
+
+class TestMalformedBytes:
+    def test_non_utf8_bytes(self):
+        with pytest.raises(InputError, match="^input is not UTF-8 text: "):
+            load_vector(_utf8_stream(b'{"vector": {"": "1\xff"}}'))
+        with pytest.raises(InputError, match="^input is not UTF-8 text: "):
+            load_partition(_utf8_stream(b'{"segments": [{"top": "\xc3", "bottom": "0"}]}'))
+
+    def test_bare_integer_past_the_digit_limit(self, default_digit_limit):
+        digits = "1" * 4301
+        with pytest.raises(InputError, match="^invalid JSON: "):
+            load_vector(io.StringIO('{"vector": {"": ' + digits + "}}"))
+        x = load_vector(io.StringIO('{"vector": {"": ' + digits[1:] + "}}"))
+        assert x.value(Node("")) == int(digits[1:])
+
+    def test_nesting_past_the_recursion_limit(self):
+        deep = "[" * 100_000 + "]" * 100_000
+        with pytest.raises(InputError, match="^invalid JSON: nested deeper "):
+            load_vector(io.StringIO('{"vector": ' + deep + "}"))
+        with pytest.raises(InputError, match="^invalid JSON: nested deeper "):
+            load_partition(io.StringIO('{"segments": ' + deep + "}"))
 
 
 class TestSqrtDecimal:
