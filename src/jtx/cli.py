@@ -1,10 +1,13 @@
 """Command-line front end.
 
 Each invocation runs one command over a vector file and writes a single
-JSON document to stdout (or --out). Exit codes: 0 success, 2 parse
-error, 3 precondition violation, 4 oracle cap exceeded, 5 internal
-invariant failure. JTX_ORACLE_CAP overrides the default oracle cap;
-the --oracle-cap flag overrides both.
+JSON document to stdout (or --out). Exit codes: 0 success, 2 input
+error (malformed input, an input file that cannot be read or an --out
+path that cannot be written), 3 precondition violation, 4 oracle cap
+exceeded, 5 internal invariant failure. Every error writes one error
+document to stderr, which echoes a long value or node key cut short.
+JTX_ORACLE_CAP overrides the default oracle cap; the --oracle-cap flag
+overrides both.
 
 Input bounds (exit 2 beyond them): --digits lies in 0..1000, vector
 values are integers, fractions or plain decimals (exponent forms such
@@ -29,7 +32,7 @@ import argparse
 import functools
 import os
 import sys
-from typing import IO
+from typing import IO, Callable
 
 from . import dot as dot_mod
 from . import wire
@@ -131,6 +134,15 @@ def _load_partition(path: str):
             return wire.load_partition(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
+
+
+def _write(path: str, write: Callable[[IO[str]], object]) -> None:
+    """Open path for writing and hand it to write; an OSError is an InputError."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            write(fh)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from None
 
 
 def _resolve_cap(args: argparse.Namespace) -> int:
@@ -241,8 +253,7 @@ def _run(args: argparse.Namespace) -> dict:
             else jt_norm_sq(x).witness
         )
         text = dot_mod.render_dot(x, partition)
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(args.out, lambda fh: fh.write(text))
         return {
             "out": args.out,
             "nodes": len(x.range()),
@@ -256,17 +267,15 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         doc = _run(args)
+        if args.command != "dot" and args.out:
+            _write(args.out, lambda fh: wire.dump(doc, fh))
+        else:
+            wire.dump(doc, sys.stdout)
     except JtxError as exc:
         wire.dump(
             {"error": {"type": type(exc).__name__, "message": str(exc)}}, sys.stderr
         )
         return exc.exit_code
-    out: IO[str]
-    if args.command != "dot" and args.out:
-        with open(args.out, "w", encoding="utf-8") as out:
-            wire.dump(doc, out)
-    else:
-        wire.dump(doc, sys.stdout)
     return 0
 
 

@@ -5,6 +5,19 @@ command front end never needs a type-by-type table.
 """
 
 
+# Past this many characters an echo of input in an error message is cut short.
+_SHOWN_CHARS = 200
+
+
+def _shown(text: str) -> str:
+    """text as an error message echoes it: whole, or when longer than
+    _SHOWN_CHARS characters cut short and followed by its length, so a
+    huge input cannot make a huge message."""
+    if len(text) <= _SHOWN_CHARS:
+        return text
+    return f"{text[:_SHOWN_CHARS]}... ({len(text)} characters)"
+
+
 class JtxError(Exception):
     """Base class for all toolkit errors."""
 

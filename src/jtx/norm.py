@@ -22,6 +22,11 @@ Separation pairs ride on the open segment as a mask: the sorted tuple of
 the indices of the pairs whose lower node it holds. Keys (open sum, mask)
 therefore sort natively, and that order fixes every tie-break below.
 
+Tables hold scores only, and a node's closed best is computed once,
+with its table. An open entry keeps the first offer to reach its score,
+so the witness walk needs no stored choices: at each node it replays the
+offers in order and takes the first that scores the stored entry.
+
 The DP runs on the skeleton of the range: the support plus every range
 node with two range children, at most 2 |supp| - 1 nodes, each linked
 to its nearest ancestor among them (unary-path compression, as in
@@ -45,7 +50,6 @@ cuts like the edge above the skeleton node below it. A partition
 separates comparable u < v iff it cuts an edge between them, so
 gap(u, v) is the least parent-child gap on that path. A forced segment,
 a node isolation included, cuts the edges above and below it alike.
-Witness reconstruction and score-only queries share the same tables.
 
 The constrained DP serves only the public solve(constraints) and
 norm_sq(constraints). It splices the pair endpoints and forced tops and
@@ -180,16 +184,16 @@ class _SepSpec:
             self.lower_at[v] = self.lower_at.get(v, ()) + (i,)
 
 
-_DONE = ("cdone",)
-
 # The empty separation set, shared by every unconstrained solve.
 _NO_SEP = _SepSpec([])
 
-# A node's DP table: (done entry, open-segment entries).
-# done:  (score, choice) with no segment passing up through the node.
-# opens: {(open sum, mask): (score, choice)} with one segment open through
-#        the node; its square is not yet counted in score. The mask is the
-#        sorted tuple of the pairs whose lower node that segment holds.
+# A node's DP table (done, opens, closed, closing), scores only:
+# done:    the best score with no segment passing up through the node;
+# opens:   {(open sum, mask): score} with one segment open through the node,
+#          its square not yet counted; the mask is the sorted tuple of the
+#          pairs whose lower node that segment holds;
+# closed:  the best score with nothing open above the node;
+# closing: the key of the segment closing at the node for closed, or None.
 _Table = tuple
 
 
@@ -208,7 +212,8 @@ class NormSolver:
     module docstring says why skipping the other range nodes is exact.
     A constrained solve splices its pair endpoints and forced tops and
     bottoms into the forest for that solve, then cuts each forced
-    segment's chain out of it.
+    segment's chain out of it. Tables keep scores only; solve() finds
+    its witness by replaying the offers at each node it walks down.
 
     The unconstrained solve keeps its DP tables, and the gap and
     forced-segment queries are answered from them. Separating a child v
@@ -244,11 +249,11 @@ class NormSolver:
         # each component's root is a support node, so the forest roots are
         # the component roots
         self._skel = _forest(sorted(self._skeleton()))
-        # The unconstrained DP: every skeleton node's table, each
-        # component root's best (score, closure choice) and their total.
+        # The unconstrained DP: every skeleton node's table and the total
+        # of the component roots' closed bests.
         self._tables: dict[str, _Table] = {}
-        self._root_best = self._dp(_NO_SEP, self._skel, self._tables)
-        self._total = sum(best[0] for best in self._root_best.values())
+        self._dp(_NO_SEP, self._skel, self._tables)
+        self._total = sum(self._tables[root][2] for root in self._skel.roots)
         self._cuts: dict[str, int] = {}  # skeleton node -> best score cutting above it
         # skeleton node -> (outside(v), above(v)); see _context
         self._contexts: dict[str, tuple[int, dict[int, int]]] = {}
@@ -275,12 +280,14 @@ class NormSolver:
 
     def solve(self, constraints: Iterable[Constraint] = ()) -> NormResult:
         sep, forced = self._normalize(constraints)
-        return self._result(forced, *self._solve(sep, forced))
+        forest, tables = self._solve(sep, forced)
+        segments = forced + self._reconstruct(forest, tables, sep)
+        return NormResult(self._score(forced, forest, tables), Partition(frozenset(segments)))
 
     def norm_sq(self, constraints: Iterable[Constraint] = ()) -> Fraction:
         """solve(constraints).norm_sq, without building the witness."""
         sep, forced = self._normalize(constraints)
-        return self._score(forced, self._solve(sep, forced)[2])
+        return self._score(forced, *self._solve(sep, forced))
 
     def gap(self, u: Node, v: Node) -> Fraction:
         """norm_sq minus the best score among partitions separating u and v."""
@@ -364,8 +371,8 @@ class NormSolver:
 
     # -- scores -------------------------------------------------------------
 
-    def _solve(self, sep: _SepSpec, forced: list[Segment]) -> tuple[_Forest, dict, dict]:
-        """The forest a pass visits, its tables and each root's best closure.
+    def _solve(self, sep: _SepSpec, forced: list[Segment]) -> tuple[_Forest, dict]:
+        """The forest a pass visits and its tables.
 
         The empty constraint set returns the pass solved at construction.
         Any other set splices the pair endpoints and the forced tops and
@@ -377,7 +384,7 @@ class NormSolver:
         and tie-break stays the same.
         """
         if not sep.upper and not forced:
-            return self._skel, self._tables, self._root_best
+            return self._skel, self._tables
         ends = {*sep.upper, *sep.lower_at}
         ends.update(n.path for seg in forced for n in (seg.top, seg.bottom))
         extra = [p for p in ends if p not in self._skel.kids]
@@ -390,11 +397,12 @@ class NormSolver:
                 p = forest.up.get(p)
         forest = forest.without(cut) if cut else forest
         tables: dict[str, _Table] = {}
-        return forest, tables, self._dp(sep, forest, tables)
+        self._dp(sep, forest, tables)
+        return forest, tables
 
-    def _score(self, forced: list[Segment], bests: dict) -> Fraction:
-        """The roots' best closures plus s^2 for each forced segment of sum s."""
-        total = sum(best[0] for best in bests.values())
+    def _score(self, forced: list[Segment], forest: _Forest, tables: dict) -> Fraction:
+        """The roots' closed bests plus s^2 for each forced segment of sum s."""
+        total = sum(tables[root][2] for root in forest.roots)
         total += sum(int(self.x.segment_sum(seg) * self.den) ** 2 for seg in forced)
         return Fraction(total, self.den * self.den)
 
@@ -416,7 +424,7 @@ class NormSolver:
 
     def _closed(self, c: str) -> int:
         """Best unconstrained score of subtree(c) with nothing open above c."""
-        return self._closed_best(c, self._tables[c])[0]
+        return self._tables[c][2]
 
     def _outside(self, v: str) -> int:
         """Best unconstrained score on ran minus subtree(v), for a skeleton node v.
@@ -443,7 +451,7 @@ class NormSolver:
             path.append(w)
             w = up[w]
         if w not in contexts:
-            contexts[w] = (self._total - self._root_best[w][0], {})
+            contexts[w] = (self._total - self._tables[w][2], {})
         for c in reversed(path):
             contexts[c] = self._descend(c, contexts[up[c]])
         return contexts[v]
@@ -462,16 +470,16 @@ class NormSolver:
         outside_p, above_p = parent_context
         p = self._skel.up[v]
         siblings = [c for c in self._skel.kids[p] if c != v]
-        done, opens = table = self._visit(p, siblings, self._tables, _NO_SEP)
-        outside = outside_p + self._closed_best(p, table)[0]
-        for (s, _), (sc, _) in opens.items():
+        closed_siblings, opens, outside, _ = self._visit(p, siblings, self._tables, _NO_SEP)
+        outside += outside_p
+        for (s, _), sc in opens.items():
             for t, rest in above_p.items():
                 cand = sc + rest + (s + t) * (s + t)
                 if cand > outside:
                     outside = cand
         if not self._skel.kids[v]:
             return outside, {}
-        closed_siblings, xv = done[0], self.val.get(p, 0)
+        xv = self.val.get(p, 0)
         above = {xv: closed_siblings + outside_p} if p in self.supp else {}
         for t, rest in above_p.items():
             cand = closed_siblings + rest
@@ -481,39 +489,13 @@ class NormSolver:
 
     # -- the dynamic program ----------------------------------------------
 
-    def _dp(self, sep: _SepSpec, forest: _Forest, tables: dict) -> dict[str, tuple]:
-        """Fill every table of the forest; return each component root's best closure.
+    def _dp(self, sep: _SepSpec, forest: _Forest, tables: dict) -> None:
+        """Fill every table of the forest.
 
         Reversed sorted order visits every node after its descendants.
         """
         for p in reversed(forest.order):
             tables[p] = self._visit(p, forest.kids[p], tables, sep)
-        return {root: self._closed_best(root, tables[root]) for root in forest.roots}
-
-    def _result(
-        self, forced: list[Segment], forest: _Forest, tables: dict, bests: dict
-    ) -> NormResult:
-        segments = list(forced)
-        for root, (_, closure) in bests.items():
-            segments.extend(self._reconstruct(root, closure, tables, forest.kids))
-        return NormResult(self._score(forced, bests), Partition(frozenset(segments)))
-
-    @staticmethod
-    def _sorted_keys(opens: dict) -> list[tuple[int, tuple[int, ...]]]:
-        return sorted(opens)
-
-    def _closed_best(self, c: str, table: _Table) -> tuple:
-        """Best (score, closure choice) of c's subtree with no segment open
-        into its parent; an open segment may close at c only when c is in
-        the support."""
-        (done, _), opens = table
-        best = (done, _DONE)
-        if c in self.supp:
-            for key in self._sorted_keys(opens):
-                cand = opens[key][0] + key[0] * key[0]
-                if cand > best[0]:
-                    best = (cand, ("cclose", key))
-        return best
 
     def _visit(self, p: str, kids: list[str], tables: dict, sep: _SepSpec) -> _Table:
         """p's table from its kids' tables.
@@ -521,68 +503,73 @@ class NormSolver:
         Every kid closes, or the segment open through one kid climbs
         through p while the others close; a segment may also start at p
         when p is in the support. A pair has one lower node, so a kid's
-        keys map one to one onto p's and its offers never meet. On a tie
-        the earlier offer keeps the key: the start, then bit-0 kid first.
+        keys map one to one onto p's and its offers never meet. An entry
+        is credited to the first offer to reach its score, the start,
+        then the kids bit-0 first; _reconstruct replays that order. An
+        open segment may close at p only when p is in the support; on a
+        tie the closed best prefers done, then the least key.
         """
-        closed = [self._closed_best(c, tables[c]) for c in kids]
-        total = sum(kc[0] for kc in closed)
-        closures = tuple(kc[1] for kc in closed)
+        done = sum(tables[c][2] for c in kids)
         xv = self.val.get(p, 0)
         start_mask = sep.lower_at.get(p, ())
         check_pairs = frozenset(sep.upper_at.get(p, ()))
-        opens: dict[tuple[int, tuple[int, ...]], tuple[int, tuple]] = {}
+        opens: dict[tuple[int, tuple[int, ...]], int] = {}
         if p in self.supp:
-            opens[(xv, start_mask)] = (total, ("start", closures))
-        for i, c in enumerate(kids):
-            rest = total - closed[i][0]
-            for key, (sc, _) in tables[c][1].items():
-                s, mask = key
+            opens[(xv, start_mask)] = done
+        for c in kids:
+            _, kid_opens, kid_closed, _ = tables[c]
+            rest = done - kid_closed
+            for (s, mask), sc in kid_opens.items():
                 if check_pairs and not check_pairs.isdisjoint(mask):
                     continue  # the segment would contain both nodes of a pair
                 if start_mask:
                     mask = tuple(sorted(mask + start_mask))
                 new, cand = (s + xv, mask), sc + rest
-                old = opens.get(new)
-                if old is None or cand > old[0]:
-                    opens[new] = (cand, ("ext", i, key, closures))
-        return ((total, ("done", closures)), opens)
+                if cand > opens.get(new, -1):
+                    opens[new] = cand
+        closed, closing = done, None
+        if p in self.supp:
+            for key in sorted(opens):
+                cand = opens[key] + key[0] * key[0]
+                if cand > closed:
+                    closed, closing = cand, key
+        return done, opens, closed, closing
 
     # -- witness extraction ------------------------------------------------
 
-    def _reconstruct(
-        self, root: str, closure: tuple, tables: dict, kids: dict[str, list[str]]
-    ) -> list[Segment]:
-        """Segments of the witness below root, with an explicit stack.
+    def _reconstruct(self, forest: _Forest, tables: dict, sep: _SepSpec) -> list[Segment]:
+        """Segments of the witness on the forest, with an explicit stack.
 
-        A closure is _DONE (no segment through the node) or ("cclose",
-        key) (a segment with open key closes at the node). Order does
-        not matter: the segments land in a frozenset.
+        From a node's closing key the walk goes down the segment and
+        replays _visit's offers in order, the start, then the kids bit-0
+        first: the first that scores the stored entry made it. No key
+        stored at p holds a pair whose upper node is p, so no pair test
+        is needed. Every other kid closes as its own table says. Order
+        does not matter: the segments land in a frozenset.
         """
         segments: list[Segment] = []
-        stack: list[tuple[str, tuple]] = [(root, closure)]
-
-        def push(p: str, closures: tuple, climbed: int = -1) -> None:
-            """Queue p's kids with their closures, but the kid the segment climbed from."""
-            stack.extend(
-                (c, cl) for i, (c, cl) in enumerate(zip(kids[p], closures)) if i != climbed
-            )
-
+        kids, stack = forest.kids, list(forest.roots)
         while stack:
-            top, cl = stack.pop()
-            if cl == _DONE:
-                push(top, tables[top][0][1][1])
-                continue
-            p, k = top, cl[1]
-            while True:
-                choice = tables[p][1][k][1]
-                if choice[0] == "start":
-                    push(p, choice[1])
+            top = stack.pop()
+            p, key = top, tables[top][3]
+            while key is not None:
+                done, opens, _, _ = tables[p]
+                xv, start_mask = self.val.get(p, 0), sep.lower_at.get(p, ())
+                sc = opens[key]
+                if p in self.supp and key == (xv, start_mask) and sc == done:
                     segments.append(Segment(Node(top), Node(p)))
                     break
-                _, child_index, child_key, closures = choice
-                push(p, closures, child_index)
-                p = kids[p][child_index]
-                k = child_key
+                s, mask = key
+                if start_mask:
+                    mask = tuple(i for i in mask if i not in start_mask)
+                key = (s - xv, mask)
+                for climbed in kids[p]:
+                    kid = tables[climbed]
+                    if kid[1].get(key) == sc - done + kid[2]:
+                        break
+                stack.extend(c for c in kids[p] if c != climbed)
+                p = climbed
+            stack.extend(kids[p])
         return segments
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
-from .errors import DomainError, InputError
+from .errors import DomainError, InputError, _shown
 
 # Inputs deeper than this are rejected at the parse boundary; internal
 # derived nodes (e.g. the exit child of a leaf in a branch-sum scan) may
@@ -31,7 +31,7 @@ class Node:
 
     def __post_init__(self) -> None:
         if not set(self.path) <= _BITS:
-            raise InputError(f"node path must consist of 0/1 bits, got {self.path!r}")
+            raise InputError(f"node path must consist of 0/1 bits, got {_shown(repr(self.path))}")
 
     @property
     def depth(self) -> int:
@@ -60,7 +60,7 @@ ROOT = Node("")
 def parse_node(text: str, max_depth: int = DEFAULT_MAX_DEPTH) -> Node:
     """Parse a node from its wire form (bit string, root = "")."""
     if len(text) > max_depth:
-        raise InputError(f"node {text!r} exceeds max depth {max_depth}")
+        raise InputError(f"node {_shown(repr(text))} exceeds max depth {max_depth}")
     return Node(text)
 
 

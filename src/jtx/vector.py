@@ -12,7 +12,7 @@ import sys
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Union
 
-from .errors import InputError, PositivityError
+from .errors import InputError, PositivityError, _shown
 from .tree import (
     DEFAULT_MAX_DEPTH,
     Node,
@@ -40,11 +40,13 @@ def parse_rational(value: RationalLike) -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         if "e" in value.lower():
-            raise InputError(f"exponent forms are not accepted, got {value!r}")
+            raise InputError(f"exponent forms are not accepted, got {_shown(repr(value))}")
         try:
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"cannot parse rational {value!r}: {exc}") from None
+            raise InputError(
+                f"cannot parse rational {_shown(repr(value))}: {_shown(str(exc))}"
+            ) from None
     raise InputError(f"cannot parse rational from {type(value).__name__}")
 
 

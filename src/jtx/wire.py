@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import isqrt
 from typing import Any, IO
 
-from .errors import InputError
+from .errors import InputError, _shown
 from .extremality import EqualSumsReport, ExtremeCertificate, SeparationReport
 from .greedy import GreedyTrace, GreedyViolation
 from .norm import NormResult, Partition
@@ -34,7 +34,7 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
     doc: dict = {}
     for key, value in pairs:
         if key in doc:
-            raise InputError(f"duplicate key {key!r} in a JSON object")
+            raise InputError(f"duplicate key {_shown(repr(key))} in a JSON object")
         doc[key] = value
     return doc
 
@@ -92,7 +92,7 @@ def segment_from_doc(doc: Any, max_depth: int = DEFAULT_MAX_DEPTH) -> Segment:
     ends = (doc["top"], doc["bottom"])
     for end in ends:
         if not isinstance(end, str):
-            raise InputError(f"segment ends must be strings, got {end!r}")
+            raise InputError(f"segment ends must be strings, got {_shown(repr(end))}")
     return Segment(*(parse_node(end, max_depth) for end in ends))
 
 

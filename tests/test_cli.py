@@ -12,7 +12,11 @@ Claims:
       a partition segment end that is not a string, a vector or partition
       file that is not UTF-8, a bare integer past the interpreter's
       4,300-digit limit on integer text and JSON nested past the
-      recursion limit, each with an InputError document
+      recursion limit, each with an InputError document; an error echoes
+      a long value, node key or repeated key cut short, so a 100,000
+      character one leaves a stderr under 1,000 bytes
+    - an --out path that cannot be written exits 2 with an InputError
+      document, for norm and for dot
     - a result too long to write out in decimal exits 2 with an error
       document, and extreme and witness find scales below 2^-64
     - isolatable builds one solver per command, and witness one solver on
@@ -526,6 +530,31 @@ class TestErrors:
         code, out, err = _run(capsys, argv)
         assert code == 2 and out == ""
         assert json.loads(err)["error"]["type"] == "InputError"
+
+    @pytest.mark.parametrize("text", [
+        '{"vector": {"": "' + "1" * 100_000 + '"}}',
+        '{"vector": {"": "' + "x" * 100_000 + '"}}',
+        '{"vector": {"": "1e' + "1" * 99_998 + '"}}',
+        '{"vector": {"' + "0" * 100_000 + '": "1"}}',
+        '{"vector": {"' + "0" * 100_000 + '": "1", "' + "0" * 100_000 + '": "2"}}',
+    ], ids=["digits", "literal", "exponent", "depth", "repeated-key"])
+    def test_long_input_leaves_a_short_error(self, tmp_path, capsys, text):
+        path = tmp_path / "long.json"
+        path.write_text(text)
+        code, out, err = _run(capsys, ["norm", str(path)])
+        assert (code, out) == (2, "")
+        assert len(err.encode()) < 1000
+        error = json.loads(err)["error"]
+        assert error["type"] == "InputError" and "... (100002 characters)" in error["message"]
+
+    @pytest.mark.parametrize("command, name", [(["norm"], "o.json"), (["dot"], "o.gv")])
+    def test_unwritable_out(self, vec_file, tmp_path, capsys, command, name):
+        target = tmp_path / "missing" / name
+        code, out, err = _run(capsys, [command[0], vec_file, "--out", str(target)])
+        assert (code, out) == (2, "")
+        error = json.loads(err)["error"]
+        assert error["type"] == "InputError"
+        assert error["message"].startswith(f"cannot write {target}: ")
 
     def test_exponent_value_rejected(self, tmp_path, capsys):
         path = tmp_path / "exp.json"

@@ -25,7 +25,9 @@ Claims:
       leave every answer as the DP that rebuilds each node gave it:
       norm, witness bytes, every gap and isolation gap, constrained
       solves with constraints on and just below stretches, and the key
-      order and scores of every table under multi-pair constraint sets
+      order, scores, closed best and closing key of every table under
+      multi-pair constraint sets; that DP follows stored choices for its
+      witness, so it referees the engine's replay of the offers
     - inside a support-free stretch, the gap above a node, the gap below
       it and its isolation gap are equal
     - the DP keeps tables exactly on the skeleton (support, branch nodes
@@ -713,14 +715,27 @@ class TestDeepChains:
 # -- stretch pass-through: differential against the DP that rebuilds every node --
 
 
+class _ChoiceTable(tuple):
+    """A table in the engine's shape, (done, opens, closed, closing), that
+    also keeps the stored-choice table it came from (`old`) and its
+    closed best's (score, closure choice) (`closure`)."""
+
+
+_DONE = ("cdone",)
+
+
 class _RebuildEveryNodeSolver(NormSolver):
-    """The DP as it was before the skeleton and stretch pass-through, kept
-    as the reference.
+    """The DP as it was before the skeleton, the stretch pass-through and
+    the score-only tables, kept as the reference.
 
     Its forest is the whole range, so every range node gets a table and
     rebuilds its open entries; masks are frozensets of pair indices, and
-    keys sort by (open sum, sorted mask tuple). It shares `_solve`, whose
-    forest cut handles forced segments, so it does not check them:
+    keys sort by (open sum, sorted mask tuple). Each table stores the
+    choice behind every entry, one of ("start", closures), ("ext", i,
+    key, closures), ("done", closures), _DONE and ("cclose", key), and
+    `_reconstruct` follows those choices, so it referees the engine's
+    replay of the offers. It shares `_solve`, whose forest cut handles
+    forced segments, so it does not check them:
     `test_forced_segments_and_pairs_match_brute_force` does.
     """
 
@@ -731,8 +746,21 @@ class _RebuildEveryNodeSolver(NormSolver):
     def _sorted_keys(opens):
         return sorted(opens, key=lambda k: (k[0], tuple(sorted(k[1]))))
 
+    def _closed_best(self, c, old):
+        """Best (score, closure choice) of c's subtree with no segment open
+        into its parent; an open segment may close at c only when c is in
+        the support."""
+        (done, _), opens = old
+        best = (done, _DONE)
+        if c in self.supp:
+            for key in self._sorted_keys(opens):
+                cand = opens[key][0] + key[0] * key[0]
+                if cand > best[0]:
+                    best = (cand, ("cclose", key))
+        return best
+
     def _visit(self, p, kids, tables, sep):
-        kid_closed = [self._closed_best(c, tables[c]) for c in kids]
+        kid_closed = [tables[c].closure for c in kids]
         xv = self.val.get(p, 0)
         start_mask = frozenset(sep.lower_at.get(p, ()))
         check_bits = frozenset(sep.upper_at.get(p, ()))
@@ -750,14 +778,47 @@ class _RebuildEveryNodeSolver(NormSolver):
             offer((xv, start_mask), (all_closed, ("start", closures)))
         for i, c in enumerate(kids):
             rest = sum(kc[0] for j, kc in enumerate(kid_closed) if j != i)
-            c_opens = tables[c][1]
+            c_opens = tables[c].old[1]
             for key in self._sorted_keys(c_opens):
                 s, mask = key
                 if mask & check_bits:
                     continue
                 new_key = (s + xv, mask | start_mask)
                 offer(new_key, (c_opens[key][0] + rest, ("ext", i, key, closures)))
-        return ((all_closed, ("done", closures)), opens)
+        old = ((all_closed, ("done", closures)), opens)
+        closed, closure = self._closed_best(p, old)
+        closing = None if closure == _DONE else closure[1]
+        table = _ChoiceTable((all_closed, {k: e[0] for k, e in opens.items()}, closed, closing))
+        table.old, table.closure = old, (closed, closure)
+        return table
+
+    def _reconstruct(self, forest, tables, sep):
+        """Segments of the witness on the forest, following the stored choices."""
+        segments, kids = [], forest.kids
+        stack = [(root, tables[root].closure[1]) for root in forest.roots]
+
+        def push(p, closures, climbed=-1):
+            stack.extend(
+                (c, cl) for i, (c, cl) in enumerate(zip(kids[p], closures)) if i != climbed
+            )
+
+        while stack:
+            top, cl = stack.pop()
+            if cl == _DONE:
+                push(top, tables[top].old[0][1][1])
+                continue
+            p, k = top, cl[1]
+            while True:
+                choice = tables[p].old[1][k][1]
+                if choice[0] == "start":
+                    push(p, choice[1])
+                    segments.append(Segment(Node(top), Node(p)))
+                    break
+                _, child_index, child_key, closures = choice
+                push(p, closures, child_index)
+                p = kids[p][child_index]
+                k = child_key
+        return segments
 
 
 def _bits(depth: int):
@@ -931,27 +992,33 @@ def _skeleton_nodes(x: TreeVector, constraints=()) -> set[str]:
     return {p for p in nodes if not any(b.startswith(p) and p.startswith(t) for t, b in forced)}
 
 
+def _tuple_key(key):
+    """A reference key with its frozenset mask as the engine's sorted tuple."""
+    return None if key is None else (key[0], tuple(sorted(key[1])))
+
+
 def _assert_tables_match(x: TreeVector, constraints) -> None:
     """The solve keeps a table exactly on its skeleton; each of them sorts
     its keys as the reference's table at that node does, with equal
-    scores; and the witness documents are byte-equal."""
+    scores, the same closed best and the same closing key; and the
+    witness documents are byte-equal."""
     ref, solver = _RebuildEveryNodeSolver(x), NormSolver(x)
     try:
-        _, ref_tables, _ = ref._solve(*ref._normalize(constraints))
+        _, ref_tables = ref._solve(*ref._normalize(constraints))
     except InfeasibleError:
         with pytest.raises(InfeasibleError):
             constrained_norm_sq(x, constraints)
         return
-    _, tables, _ = solver._solve(*solver._normalize(constraints))
+    _, tables = solver._solve(*solver._normalize(constraints))
     assert tables.keys() <= ref_tables.keys()
     assert tables.keys() == _skeleton_nodes(x, constraints)
-    for p, (done, opens) in tables.items():
-        ref_done, ref_opens = ref_tables[p]
-        assert done[0] == ref_done[0]
-        keys = solver._sorted_keys(opens)
+    for p, (done, opens, closed, closing) in tables.items():
+        ref_done, ref_opens, ref_closed, ref_closing = ref_tables[p]
+        assert (done, closed, closing) == (ref_done, ref_closed, _tuple_key(ref_closing))
+        keys = sorted(opens)
         ref_keys = ref._sorted_keys(ref_opens)
-        assert keys == [(s, tuple(sorted(m))) for s, m in ref_keys]
-        assert [opens[k][0] for k in keys] == [ref_opens[k][0] for k in ref_keys]
+        assert keys == [_tuple_key(k) for k in ref_keys]
+        assert [opens[k] for k in keys] == [ref_opens[k] for k in ref_keys]
     assert _doc(constrained_norm_sq(x, constraints)) == _doc(ref.solve(constraints))
 
 
@@ -1107,10 +1174,10 @@ class _PathRevisitSolver(NormSolver):
             local = {c: table if c == child else tables[c] for c in ks}
             table = self._visit(p, ks, local, _NO_SEP)
             child, p = p, up.get(p)
-        rest = self._total - self._root_best[child][0]
+        rest = self._total - self._tables[child][2]
         if table is None:
             return rest  # v is a component root
-        return rest + self._closed_best(child, table)[0]
+        return rest + table[2]
 
 
 @st.composite

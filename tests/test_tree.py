@@ -10,6 +10,8 @@ Claims:
     - range_paths equals the all-pairs definition of the range on
       forests, sparse chains and full trees (hypothesis differential)
     - comparable_pairs scans exactly the strictly ordered pairs
+    - node errors echo a path of ordinary length whole, and a long one
+      cut short with its length
 """
 
 from __future__ import annotations
@@ -68,6 +70,26 @@ class TestNode:
         with pytest.raises(InputError):
             parse_node("0" * 31)
         parse_node("0" * 31, max_depth=40)
+
+    def test_ordinary_paths_echo_whole(self):
+        with pytest.raises(InputError) as exc:
+            Node("012")
+        assert str(exc.value) == "node path must consist of 0/1 bits, got '012'"
+        with pytest.raises(InputError) as exc:
+            parse_node("0" * 31)
+        assert str(exc.value) == f"node {'0' * 31!r} exceeds max depth 30"
+
+    def test_long_paths_echo_cut_short(self):
+        with pytest.raises(InputError) as exc:
+            Node("2" * 100_000)
+        assert str(exc.value) == (
+            "node path must consist of 0/1 bits, got '" + "2" * 199 + "... (100002 characters)"
+        )
+        with pytest.raises(InputError) as exc:
+            parse_node("0" * 100_000)
+        assert str(exc.value) == (
+            "node '" + "0" * 199 + "... (100002 characters) exceeds max depth 30"
+        )
 
     def test_parent_child(self):
         n = Node("01")

@@ -5,6 +5,8 @@ Claims:
     - support and range match the worked example
     - l2_sq, segment_sum, restrict behave per their contracts
     - wedge restriction needs no materialized wedge
+    - parse errors echo a value of ordinary length whole, and a long one
+      cut short with its length
 """
 
 from __future__ import annotations
@@ -50,6 +52,29 @@ class TestConstruction:
     def test_rejects_exponent_forms(self, text):
         with pytest.raises(InputError, match="exponent"):
             parse_rational(text)
+
+    @pytest.mark.parametrize("text, message", [
+        ("abc", "cannot parse rational 'abc': Invalid literal for Fraction: 'abc'"),
+        ("1/0", "cannot parse rational '1/0': Fraction(1, 0)"),
+        ("1e50", "exponent forms are not accepted, got '1e50'"),
+    ])
+    def test_ordinary_values_echo_whole(self, text, message):
+        with pytest.raises(InputError) as exc:
+            parse_rational(text)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("text, start", [
+        ("1" * 100_000, "cannot parse rational '" + "1" * 199 + "... (100002 characters): "),
+        ("x" * 100_000, "cannot parse rational '" + "x" * 199 + "... (100002 characters): "),
+        ("7" * 3000 + "/0", "cannot parse rational '" + "7" * 199 + "... (3004 characters): "),
+        ("1e" + "1" * 100_000, "exponent forms are not accepted, got '1e" + "1" * 197 + "... "),
+    ])
+    def test_long_values_echo_cut_short(self, text, start):
+        with pytest.raises(InputError) as exc:
+            parse_rational(text)
+        message = str(exc.value)
+        assert message.startswith(start)
+        assert len(message) < 600
 
     def test_accepts_long_plain_forms(self):
         digits = "9" * 60
