@@ -5,7 +5,11 @@ Claims:
       counterexample e_root/4 + e_1 + e_00, a signed, non-separated
       forest, and a sparse positive chain of depth 29 that branches at
       depth 16, whose gap and witness pairs are edges inside support-free
-      stretches), all 11 commands print the recorded exit code, stdout
+      stretches), and a positive vector with mixed denominators whose
+      heaviest children tie across denominators and depths (S = 1/2 + 1/3
+      at "00", 7/12 + 1/4 at "1"), so that the canonical order of a tie
+      set is not the lexicographic one, and whose `consistent` partition
+      bypasses a heaviest child twice, all 11 commands print the recorded exit code, stdout
       and stderr bytes, and `dot` writes the recorded DOT text
 
 The documents live in cli_golden.json next to this file. A change that
@@ -64,6 +68,12 @@ VECTORS = {
         ("0110", "01101"),
         [("", "01101001110101101011001010110"),
          ("01101001110101100110", "011010011101011001101001")],
+    ),
+    "mixed-denominator-ties": (
+        {"": "1/7", "00": "1/2", "000": "1/3", "01": "1/9", "1": "7/12", "10": "1/5", "11": "1/4"},
+        ("", "1"),
+        ("", "00"),
+        [("", "01"), ("00", "000"), ("1", "10"), ("11", "11")],
     ),
 }
 
