@@ -6,7 +6,11 @@ child with the largest maximal downward segment sum (the "heaviest"
 child). "Children" here are induced support children, the minimal
 support nodes strictly below a node; the ambient tree's children play
 no role in this module. `SupportTree` derives the maximal downward
-segment sums once per vector; every operation reads them from there.
+segment sums once per vector, bottom-up over the support's paths, as
+integers scaled by the entries' common denominator (as `NormSolver`
+scales them); every operation compares those integers on paths and
+makes a `Node` or a `Fraction` only for what it returns. Two
+`Fraction`s are equal iff their scaled integers are, so ties stay exact.
 
 All operations reject signed vectors rather than guessing semantics.
 """
@@ -16,37 +20,65 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 from .errors import DomainError
 from .norm import NormSolver, Partition, jt_norm_sq
-from .tree import Node, Segment, _forest, canonical_order
+from .tree import Node, Segment, _forest
 from .vector import TreeVector
 
 
 class SupportTree:
     """The support of a vector as a forest under the induced-child relation.
 
-    s[n] is S(n), the maximal downward segment sum at support node n.
+    _s maps each support path to S times _den, where S(n) is the maximal
+    downward segment sum at n and _den the entries' common denominator;
+    _forest links the support paths; its kids lists are lexicographic,
+    so a stable sort by length puts them in canonical order. The Node
+    views nodes (canonical order), paths, parent, children, roots and s
+    (s[n] is S(n)) are built on first read.
     """
 
     def __init__(self, x: TreeVector):
-        self.nodes = canonical_order(x.support())
-        self.paths = {n.path for n in self.nodes}
-        forest = _forest(sorted(self.paths))
-        self._order, up = forest.order, forest.up
-        by_path = {n.path: n for n in self.nodes}
-        self.parent: dict[Node, Optional[Node]] = {
-            n: by_path[up[n.path]] if n.path in up else None for n in self.nodes
-        }
-        self.children: dict[Node, list[Node]] = {
-            n: [by_path[c] for c in forest.kids[n.path]] for n in self.nodes
-        }
-        self.roots = [by_path[r] for r in forest.roots]
-        self.s: dict[Node, Fraction] = {}
-        for n in reversed(self.nodes):
-            best = max((self.s[c] for c in self.children[n]), default=Fraction(0))
-            self.s[n] = x.value(n) + max(Fraction(0), best)
+        self._val, self._den = x._scaled()
+        self._forest = _forest(sorted(self._val))
+        kids = self._forest.kids
+        s: dict[str, int] = {}
+        # lexicographic order puts every path after its ancestors
+        for p in reversed(self._forest.order):
+            s[p] = self._val[p] + max(0, max((s[c] for c in kids[p]), default=0))
+        self._s = s
+
+    @cached_property
+    def _node(self) -> dict[str, Node]:
+        return {p: Node(p) for p in self._forest.order}
+
+    @cached_property
+    def nodes(self) -> list[Node]:
+        return sorted(self._node.values(), key=Node.sort_key)
+
+    @cached_property
+    def paths(self) -> set[str]:
+        return set(self._s)
+
+    @cached_property
+    def parent(self) -> dict[Node, Optional[Node]]:
+        up, node = self._forest.up, self._node
+        return {n: node[up[n.path]] if n.path in up else None for n in self.nodes}
+
+    @cached_property
+    def children(self) -> dict[Node, list[Node]]:
+        kids, node = self._forest.kids, self._node
+        return {n: [node[c] for c in kids[n.path]] for n in self.nodes}
+
+    @cached_property
+    def roots(self) -> list[Node]:
+        return [self._node[r] for r in self._forest.roots]
+
+    @cached_property
+    def s(self) -> dict[Node, Fraction]:
+        return {n: Fraction(self._s[n.path], self._den) for n in reversed(self.nodes)}
 
     def s_at(self, a: Node) -> Fraction:
         """The largest S over the support nodes in the wedge at a; 0 if none.
@@ -55,16 +87,16 @@ class SupportTree:
         maximum sits on a minimal support node of the wedge. The first
         support path at or after a in sorted order is one when it has a as
         a prefix: the wedge's paths follow a contiguously, ancestors first.
-        The others share its parent in the forest (or are roots with it).
+        The others share its parent in the forest (or are roots with it);
+        when a is in the support, it is the only one.
         """
-        if a in self.s:
-            return self.s[a]
-        i = bisect_left(self._order, a.path)
-        if i == len(self._order) or not self._order[i].startswith(a.path):
+        f, a = self._forest, a.path
+        i = bisect_left(f.order, a)
+        if i == len(f.order) or not f.order[i].startswith(a):
             return Fraction(0)
-        above = self.parent[Node(self._order[i])]
-        heads = self.roots if above is None else self.children[above]
-        return max(self.s[h] for h in heads if h.path.startswith(a.path))
+        above = f.up.get(f.order[i])
+        heads = f.roots if above is None else f.kids[above]
+        return Fraction(max(self._s[h] for h in heads if h.startswith(a)), self._den)
 
 
 @dataclass
@@ -111,37 +143,32 @@ def greedy_partition(
     """Build a norming partition for a positive vector by heaviest-child walks.
 
     Ties among heaviest children break deterministically: lex-min picks
-    the lexicographically smallest path, lex-max the largest. Every tie
-    choice yields the same score; the trace records the full tie set.
+    the first in canonical order (depth, then bits), lex-max the last.
+    Every tie choice yields the same score; the trace records the full
+    tie set, in canonical order.
     """
     x.require_positive("greedy_partition")
     if tie_policy not in ("lex-min", "lex-max"):
         raise DomainError(f"unknown tie policy {tie_policy!r}")
     st = SupportTree(x)
-    s = st.s
-    trace = GreedyTrace(s_values=dict(s))
+    kids, s, node = st._forest.kids, st._s, st._node
+    trace = GreedyTrace(s_values=st.s)
+    chosen: dict[str, Optional[str]] = {}
     for n in st.nodes:
-        kids = st.children[n]
-        if not kids:
-            trace.chosen[n] = None
-            trace.tie_sets[n] = ()
-            continue
-        top = max(s[c] for c in kids)
-        ties = tuple(c for c in canonical_order(kids) if s[c] == top)
-        trace.tie_sets[n] = ties
-        trace.chosen[n] = ties[0] if tie_policy == "lex-min" else ties[-1]
+        top = max((s[c] for c in kids[n.path]), default=0)
+        ties = sorted((c for c in kids[n.path] if s[c] == top), key=len)
+        pick = chosen[n.path] = (ties[0] if tie_policy == "lex-min" else ties[-1]) if ties else None
+        trace.chosen[n] = None if pick is None else node[pick]
+        trace.tie_sets[n] = tuple(node[c] for c in ties)
 
     segments = []
-    for head in st.roots:
-        heads = [head]
-        while heads:
-            h = heads.pop(0)
-            cur = h
-            while trace.chosen[cur] is not None:
-                nxt = trace.chosen[cur]
-                heads.extend(c for c in st.children[cur] if c != nxt)
-                cur = nxt
-            segments.append(Segment(h, cur))
+    heads = list(st._forest.roots)
+    while heads:
+        head = cur = heads.pop()
+        while chosen[cur] is not None:
+            heads.extend(c for c in kids[cur] if c != chosen[cur])
+            cur = chosen[cur]
+        segments.append(Segment(node[head], node[cur]))
     return Partition(frozenset(segments)), trace
 
 
@@ -176,24 +203,19 @@ def consistent_with_greedy(
     """
     x.require_positive("consistent_with_greedy")
     st = SupportTree(x)
-    s = st.s
+    kids, s = st._forest.kids, st._s
     violations: list[GreedyViolation] = []
     for seg in p.sorted_segments():
         b = seg.bottom.path
-        chain = [
-            Node(b[:k])
-            for k in range(seg.top.depth, seg.bottom.depth + 1)
-            if b[:k] in st.paths
-        ]
+        chain = [b[:k] for k in range(seg.top.depth, seg.bottom.depth + 1) if b[:k] in s]
         for u, nxt in zip(chain, chain[1:]):
-            best = max(s[c] for c in st.children[u])
+            best = max(s[c] for c in kids[u])
             if s[nxt] < best:
-                better = next(
-                    c for c in canonical_order(st.children[u]) if s[c] == best
-                )
-                violations.append(
-                    GreedyViolation(seg, u, nxt, better, s[nxt], best)
-                )
+                better = min((c for c in kids[u] if s[c] == best), key=len)
+                violations.append(GreedyViolation(
+                    seg, Node(u), Node(nxt), Node(better), Fraction(s[nxt], st._den),
+                    Fraction(best, st._den),
+                ))
     return (not violations, violations)
 
 
@@ -204,10 +226,11 @@ def forced_segment_is_norming(x: TreeVector, s: Segment) -> bool:
     sum attains the maximal segment sum from that node.
     """
     x.require_positive("forced_segment_is_norming")
-    head = s.top
+    head, b = s.top.path, s.bottom.path
     st = SupportTree(x)
-    if head not in st.roots:
-        raise DomainError(f"segment top {head.path!r} is not a minimal support node")
-    if x.segment_sum(s) != st.s[head]:
+    if head not in st._s or head in st._forest.up:
+        raise DomainError(f"segment top {head!r} is not a minimal support node")
+    total = sum(st._val.get(b[:k], 0) for k in range(len(head), len(b) + 1))
+    if total != st._s[head]:
         raise DomainError("segment sum does not attain the maximal segment sum")
     return NormSolver(x).forced_gap(s) == 0

@@ -241,9 +241,7 @@ class NormSolver:
 
     def __init__(self, x: TreeVector):
         self.x = x
-        entries = {n.path: v for n, v in x.items()}
-        self.den = lcm(*(v.denominator for v in entries.values())) if entries else 1
-        self.val = {p: int(v * self.den) for p, v in entries.items()}
+        self.val, self.den = x._scaled()
         self.supp = frozenset(self.val)
         self.ran = range_paths(self.supp)
         # each component's root is a support node, so the forest roots are

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Iterator, Mapping, Union
 
 from .errors import InputError, PositivityError, _shown
@@ -107,6 +108,12 @@ class TreeVector:
     def support(self) -> frozenset[Node]:
         return frozenset(self._entries)
 
+    def _scaled(self) -> tuple[dict[str, int], int]:
+        """The entries by path as integers over their least common denominator,
+        and that denominator; no Fraction arithmetic and no sort."""
+        den = lcm(*(v.denominator for v in self._entries.values()))
+        return {n.path: v.numerator * (den // v.denominator) for n, v in self._entries.items()}, den
+
     def range(self) -> frozenset[Node]:
         """Smallest complete subtree containing the support."""
         return complete_closure(self._entries)
@@ -118,8 +125,8 @@ class TreeVector:
         return not self._entries
 
     def is_positive(self) -> bool:
-        """Entrywise x >= 0 (stored entries are nonzero, hence all > 0)."""
-        return all(v > 0 for v in self._entries.values())
+        """Entrywise x >= 0 (stored entries are nonzero; a Fraction's sign is its numerator's)."""
+        return all(v.numerator > 0 for v in self._entries.values())
 
     def require_positive(self, op: str) -> None:
         if not self.is_positive():
