@@ -78,6 +78,30 @@ def random_positive(
             )
 
 
+# Denominators for entries that each draw their own: their least common
+# multiple runs up to 27,720, so scaled integers differ from the numerators.
+MIXED_DENOMINATORS = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12)
+
+
+def random_mixed(
+    rng: random.Random, max_depth: int = 4, max_ran: int = 11, signed: bool = False
+) -> TreeVector:
+    """Random vector with |ran(x)| bounded whose entries each draw a denominator."""
+    while True:
+        support = [p for p in grid(rng.randint(1, max_depth)) if rng.random() < 0.5]
+        x = TreeVector.from_dict(
+            {
+                p: Fraction(
+                    rng.randint(1, 9) * (rng.choice((-1, 1)) if signed else 1),
+                    rng.choice(MIXED_DENOMINATORS),
+                )
+                for p in support
+            }
+        )
+        if support and len(x.range()) <= max_ran:
+            return x
+
+
 def level_symmetric(rng: random.Random, max_depth: int = 3) -> TreeVector:
     """Full tree with one positive value per level (hence separated)."""
     depth = rng.randint(0, max_depth)
