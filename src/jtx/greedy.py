@@ -32,12 +32,12 @@ from .vector import TreeVector
 class SupportTree:
     """The support of a vector as a forest under the induced-child relation.
 
-    _s maps each support path to S times _den, where S(n) is the maximal
-    downward segment sum at n and _den the entries' common denominator;
-    _forest links the support paths; its kids lists are lexicographic,
-    so a stable sort by length puts them in canonical order. The Node
-    views nodes (canonical order), paths, parent, children, roots and s
-    (s[n] is S(n)) are built on first read.
+    S(n) is the maximal downward segment sum at support node n. _s maps
+    each support path to S times _den, the entries' common denominator,
+    and _forest links the support paths. Its kids lists are in
+    lexicographic order, so a stable sort by length puts them in
+    canonical order. The Node views nodes (canonical order), paths,
+    parent, children, roots and s (s[n] is S(n)) are built on first read.
     """
 
     def __init__(self, x: TreeVector):
