@@ -94,36 +94,48 @@ class Partition:
     segments: frozenset[Segment]
 
     def __post_init__(self) -> None:
-        """Reject overlapping segments in O(k log k + k * depth).
+        """Reject overlapping segments in one stack pass after an O(k log k) sort.
 
-        Two chains meet iff the top of one lies in the other. Each top,
-        visited after the tops above it, is tested only against the
-        segment with the nearest top at or above it: a farther segment
-        holding it would also hold that nearest top, an overlap already
-        caught at the nearest top's own test.
+        Two chains meet iff the top of one lies in the other. Each top is
+        tested only against the segment with the nearest top at or above
+        it (the latest in canonical order, for an equal top): a farther
+        segment holding it would also hold that nearest top, an overlap
+        already caught at the nearest top's own test. In lexicographic
+        order of tops a stack finds that segment, as in tree._forest.
+        The report names the offender that comes first in canonical order.
         """
-        by_top: dict[str, Segment] = {}
-        for seg in self.sorted_segments():
+        clashes = []
+        stack: list[Segment] = []
+        by_top = lambda s: (s.top.path, len(s.bottom.path), s.bottom.path)
+        for seg in sorted(self.segments, key=by_top):
             t = seg.top.path
-            nearest = next(
-                (by_top[t[:k]] for k in range(len(t), -1, -1) if t[:k] in by_top), None
-            )
-            if nearest is not None and leq(seg.top, nearest.bottom):
-                raise InvalidPartitionError(f"segments overlap: {nearest} and {seg}")
-            by_top[t] = seg
+            while stack and not t.startswith(stack[-1].top.path):
+                stack.pop()
+            if stack and stack[-1].bottom.path.startswith(t):
+                clashes.append((_canonical_key(seg), stack[-1], seg))
+            stack.append(seg)
+        if clashes:
+            _, nearest, seg = min(clashes)
+            raise InvalidPartitionError(f"segments overlap: {nearest} and {seg}")
 
     @classmethod
     def of(cls, *segments: Segment) -> Partition:
         return cls(frozenset(segments))
 
     def sorted_segments(self) -> list[Segment]:
-        return sorted(self.segments, key=Segment.sort_key)
+        return sorted(self.segments, key=_canonical_key)
 
     def __iter__(self):
         return iter(self.sorted_segments())
 
     def __len__(self) -> int:
         return len(self.segments)
+
+
+def _canonical_key(s: Segment) -> tuple[int, str, int, str]:
+    """Segment.sort_key as one flat tuple."""
+    t, b = s.top.path, s.bottom.path
+    return len(t), t, len(b), b
 
 
 EMPTY_PARTITION = Partition(frozenset())
@@ -200,10 +212,11 @@ _Table = tuple
 class NormSolver:
     """DP engine bound to one vector; answers many constrained queries.
 
-    Building the solver precomputes the scaled entries, the range and
-    its skeleton, and solves the unconstrained DP, so callers that probe
+    Building the solver precomputes the scaled entries and the range's
+    skeleton, and solves the unconstrained DP, so callers that probe
     many constraint sets (gap scans, separation checks) pay the
-    structural cost a single time.
+    structural cost a single time. The range itself is built on the
+    first read of `ran`, by a query that tests nodes against it.
 
     The skeleton is the support plus every range node with two range
     children: at most 2 |supp| - 1 nodes, whatever the depth. Every DP
@@ -243,7 +256,7 @@ class NormSolver:
         self.x = x
         self.val, self.den = x._scaled()
         self.supp = frozenset(self.val)
-        self.ran = range_paths(self.supp)
+        self._ran: frozenset[str] | None = None  # built by the ran property
         # each component's root is a support node, so the forest roots are
         # the component roots
         self._skel = _forest(sorted(self._skeleton()))
@@ -256,21 +269,35 @@ class NormSolver:
         # skeleton node -> (outside(v), above(v)); see _context
         self._contexts: dict[str, tuple[int, dict[int, int]]] = {}
 
+    @property
+    def ran(self) -> frozenset[str]:
+        """The paths of ran(x), built on first read by a query that probes it."""
+        if self._ran is None:
+            self._ran = range_paths(self.supp)
+        return self._ran
+
     def _skeleton(self) -> set[str]:
         """The support and every range node with two range children.
 
         In sorted order the paths of a subtree are contiguous, so a node
-        with support below both children is the longest common prefix
-        of two neighbouring support paths; it is kept when it lies in
-        the range. That prefix is a itself when a is a prefix of b, and
-        b's parent when the parent is in the support.
+        with support below both children is the longest common prefix p
+        of two neighbouring support paths a < b. That prefix is a itself
+        when a is a prefix of b, and b's parent when the parent is in the
+        support. Otherwise p is kept when it lies in the range, that is
+        when it starts with a's root, a's shallowest support prefix. A
+        support prefix of a precedes a, and every path in between starts
+        with it, so a's root is the previous path's root when that is a
+        prefix of a, and a itself otherwise. ran(x) is never built.
         """
         order = sorted(self.supp)
         kept = set(order)
+        root = order[0] if order else ""
         for a, b in zip(order, order[1:]):
+            if not a.startswith(root):
+                root = a
             if not b.startswith(a) and b[:-1] not in self.supp:
                 p = commonprefix((a, b))
-                if p in self.ran:
+                if p.startswith(root):
                     kept.add(p)
         return kept
 

@@ -31,7 +31,8 @@ def parse_rational(value: RationalLike) -> Fraction:
     """Exact scalar from "p", "-p", "p/q", an exact decimal string, or an int.
 
     Exponent forms such as "1e50" are rejected: a few characters would
-    otherwise denote an integer of any size.
+    otherwise denote an integer of any size. So are "_", a digit separator
+    to Fraction on 3.11+ only, and non-ASCII characters such as digits.
     """
     if isinstance(value, Fraction):
         return value
@@ -42,6 +43,8 @@ def parse_rational(value: RationalLike) -> Fraction:
     if isinstance(value, str):
         if "e" in value.lower():
             raise InputError(f"exponent forms are not accepted, got {_shown(repr(value))}")
+        if "_" in value or not value.isascii():
+            raise InputError(f"'_' and non-ASCII characters are not accepted, got {_shown(repr(value))}")
         try:
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:

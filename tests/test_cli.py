@@ -8,13 +8,14 @@ Claims:
       below 0 (or a non-integer JTX_ORACLE_CAP) exits 2 in the commands
       that read it and is ignored by the others
     - --digits accepts 0..1000 and vector values reject exponent forms,
-      both with exit 2, as do a key repeated in a vector or partition file,
-      a partition segment end that is not a string, a vector or partition
-      file that is not UTF-8, a bare integer past the interpreter's
-      4,300-digit limit on integer text and JSON nested past the
-      recursion limit, each with an InputError document; an error echoes
-      a long value, node key or repeated key cut short, so a 100,000
-      character one leaves a stderr under 1,000 bytes
+      "_" and non-ASCII characters, each with exit 2, as do a key repeated
+      in a vector or partition file, a partition segment end that is not
+      a string, a vector or partition file that is not UTF-8, a bare
+      integer past the interpreter's 4,300-digit limit on integer text
+      and JSON nested past the recursion limit, each with an InputError
+      document; an error echoes a long value, node key or repeated key
+      cut short, so a 100,000 character one leaves a stderr under 1,000
+      bytes; ASCII values parse as before
     - an --out path that cannot be written exits 2 with an InputError
       document, for norm and for dot
     - a result too long to write out in decimal exits 2 with an error
@@ -562,6 +563,24 @@ class TestErrors:
         code, _, err = _run(capsys, ["norm", str(path)])
         assert code == 2
         assert "exponent" in json.loads(err)["error"]["message"]
+
+    @pytest.mark.parametrize("value", ["1_000", "1/2_0", "1.5_0", "\u0661\u0662", "\uff11\uff12"])
+    def test_separator_and_non_ascii_values_rejected(self, tmp_path, capsys, value):
+        path = tmp_path / "sep.json"
+        path.write_text(json.dumps({"vector": {"": value, "0": "1"}}))
+        code, out, err = _run(capsys, ["norm", str(path)])
+        assert (code, out) == (2, "")
+        error = json.loads(err)["error"]
+        assert error == {"type": "InputError", "message":
+                         f"'_' and non-ASCII characters are not accepted, got {value!r}"}
+
+    @pytest.mark.parametrize("value, norm_sq", [("1000", "1000000"), ("1/20", "1/400"),
+                                                ("1.50", "9/4"), (" -12 ", "144")])
+    def test_ascii_values_unchanged(self, tmp_path, capsys, value, norm_sq):
+        path = tmp_path / "ascii.json"
+        path.write_text(json.dumps({"vector": {"": value}}))
+        code, out, _ = _run(capsys, ["norm", str(path)])
+        assert code == 0 and json.loads(out)["norm_sq"] == norm_sq
 
     @pytest.mark.parametrize(
         "entries, command",

@@ -4,7 +4,9 @@ Claims:
     - score reproduces the worked squared sums and rejects overlaps
     - Partition raises iff some pair of its segments meets (exhaustive
       on small families, hypothesis on nested, overlapping and
-      same-top families)
+      same-top families), and its message equals the nearest-top dict
+      scan's, which names the first offender in canonical order, also
+      with tops more than 500 levels deep
     - the DP equals the brute-force oracle on every tested instance
     - witnesses are canonical, score their own norm, satisfy constraints
     - up to two forced segments (zero endpoints and chains inside
@@ -47,6 +49,14 @@ Claims:
       solve plus one per skeleton edge for the contexts
     - after a full separation scan every skeleton leaf has a memoised
       context whose above(v) is empty
+    - the solver builds ran(x) only when a query reads it: building,
+      solve() and norm_sq() never call range_paths, the skeleton equals
+      the support plus the range nodes with two range children, and
+      ran, once read, is the range_paths frozenset; on several
+      components in separate wedges and on 600-level chains with twigs,
+      gap, forced_gap, isolation_gap and the constrained API raise the
+      same DomainError for a node outside ran(x) before and after it is
+      read
 """
 
 from __future__ import annotations
@@ -63,6 +73,7 @@ from helpers import chain_vector, grid, random_signed, support_paths
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import jtx.norm
 from jtx import (
     CapError,
     DomainError,
@@ -94,6 +105,7 @@ from jtx import (
 )
 from jtx.extremality import _separation_scan
 from jtx.norm import _NO_SEP
+from jtx.tree import range_paths
 from jtx.wire import norm_result_doc
 
 
@@ -164,6 +176,37 @@ def segment_families(draw) -> list[Segment]:
     return segs
 
 
+@st.composite
+def deep_segment_families(draw) -> list[Segment]:
+    """Up to 8 segments with tops 500 to 520 levels deep, on two branches
+    that part at depth 505: nested, overlapping or sharing tops."""
+    stem = "01" * 253
+    branches = [stem[:505] + "0" * 20, stem[:505] + "1" * 20]
+    segs = []
+    for _ in range(draw(st.integers(0, 8))):
+        branch = draw(st.sampled_from(branches))
+        top = branch[: draw(st.integers(500, 520))]
+        if segs and draw(st.booleans()):
+            top = draw(st.sampled_from(segs)).top.path  # a shared top
+        bottom = top + draw(st.text("01", max_size=3))
+        segs.append(Segment(Node(top), Node(bottom)))
+    return segs
+
+
+def _by_top_scan_message(segments) -> str | None:
+    """Reference: the overlap report of the nearest-top scan Partition
+    once ran, which looked each top's prefixes up in a dict, in
+    canonical order; None when no segments meet."""
+    by_top: dict[str, Segment] = {}
+    for seg in sorted(set(segments), key=Segment.sort_key):
+        t = seg.top.path
+        nearest = next((by_top[t[:k]] for k in range(len(t), -1, -1) if t[:k] in by_top), None)
+        if nearest is not None and leq(seg.top, nearest.bottom):
+            return f"segments overlap: {nearest} and {seg}"
+        by_top[t] = seg
+    return None
+
+
 class TestPartitionValidation:
     def test_all_families_of_up_to_three_segments_depth2(self):
         nodes = [Node(p) for p in grid(2)]
@@ -188,6 +231,22 @@ class TestPartitionValidation:
               Segment(Node("000"), Node("0001")), Segment(Node("00"), Node("00"))])
     def test_raises_iff_some_pair_meets(self, segments):
         assert _raises_invalid(segments) == _some_pair_meets(segments)
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(st.one_of(segment_families(), deep_segment_families()))
+    # the first overlap in lexicographic order of tops is [0, 00] with
+    # [00, 000], but [1, 1] and [1, 10] come first in canonical order
+    @example([Segment(Node("0"), Node("00")), Segment(Node("00"), Node("000")),
+              Segment(Node("1"), Node("1")), Segment(Node("1"), Node("10"))])
+    @example([Segment(Node("0"), Node("0")), Segment(Node("0"), Node("00")),
+              Segment(Node("0"), Node("01"))])
+    def test_message_names_the_first_overlap_in_canonical_order(self, segments):
+        try:
+            Partition(frozenset(segments))
+            message = None
+        except InvalidPartitionError as exc:
+            message = str(exc)
+        assert message == _by_top_scan_message(segments)
 
 
 class TestJtNormSq:
@@ -1295,3 +1354,104 @@ def test_leaf_contexts_keep_no_above(x):
     assert len(leaves) == 2 ** (len(max(leaves, key=len)))
     for v in leaves:
         assert solver._contexts[v][1] == {}
+
+
+# -- the range is built only by the queries that read it ---------------------
+
+
+@st.composite
+def wedge_or_chain_vectors(draw) -> TreeVector:
+    """Signed vectors whose supports have several components, or deep chains.
+
+    "wedges": support below 1-4 distinct nodes of one depth, which need
+    not be in the support, so one wedge may hold several components and
+    the root holds none. "chain": up to 8 levels of a branch up to 600
+    deep, with up to 3 twigs leaving it, so branch nodes lie deep in the
+    chain, inside the range or above every support node of the branch.
+    """
+    nonzero = st.integers(-3, 3).filter(bool)
+    if draw(st.booleans()):
+        depth = draw(st.integers(1, 3))
+        wedges = draw(st.lists(st.sampled_from(grid(depth)[2**depth - 1 :]),
+                               min_size=1, max_size=4, unique=True))
+        paths = {w + tail for w in wedges
+                 for tail in draw(st.lists(st.text("01", max_size=4), min_size=1, max_size=4))}
+    else:
+        branch = "".join(draw(st.lists(st.sampled_from("01"), min_size=600, max_size=600)))
+        levels = draw(st.sets(st.integers(0, 600), min_size=1, max_size=8))
+        paths = {branch[:k] for k in levels}
+        for k in draw(st.lists(st.integers(0, 599), max_size=3)):
+            paths.add(branch[:k] + "10"[int(branch[k])] + draw(st.text("01", max_size=5)))
+    return TreeVector.from_dict({p: draw(nonzero) for p in paths}, max_depth=610)
+
+
+def _skeleton_by_definition(supp) -> set[str]:
+    """Reference: the support and every range node with two range children."""
+    ran = range_paths(supp)
+    return set(supp) | {p for p in ran if p + "0" in ran and p + "1" in ran}
+
+
+def _outside_nodes(solver: NormSolver) -> list[str]:
+    """Children and parents of range nodes that lie outside the range."""
+    ran = range_paths(solver.supp)
+    near = {p + bit for p in ran for bit in "01"} | {p[:-1] for p in ran if p}
+    return sorted(near - ran)
+
+
+def _forbidden_range_paths(paths):
+    raise AssertionError("range_paths called")
+
+
+_LAZY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+
+
+class TestLazyRange:
+    @_LAZY
+    @given(wedge_or_chain_vectors())
+    @example(TreeVector.from_dict({"00": 1, "01": -1}))  # two roots below a zero "0"
+    @example(TreeVector.from_dict({"": 1, "00": 1, "01": -1}))  # "0" is a branch node
+    def test_skeleton_matches_the_range_definition(self, x):
+        assert NormSolver(x)._skeleton() == _skeleton_by_definition({n.path for n in x.support()})
+
+    @_LAZY
+    @given(wedge_or_chain_vectors())
+    def test_build_solve_and_norm_sq_never_build_the_range(self, x):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(jtx.norm, "range_paths", _forbidden_range_paths)
+            solver = NormSolver(x)
+            result = solver.solve()
+            assert "ran" not in solver.__dict__ and solver._ran is None
+            assert solver.norm_sq() == result.norm_sq
+            assert "ran" not in solver.__dict__ and solver._ran is None
+        assert solver.ran == range_paths(solver.supp)
+        assert type(solver.ran) is frozenset
+        assert solver.ran is solver.ran  # built once, then kept
+
+    @_LAZY
+    @given(wedge_or_chain_vectors(), st.data())
+    def test_nodes_outside_ran_raise_before_and_after_it_is_read(self, x, data):
+        solver = NormSolver(x)
+        o = Node(data.draw(st.sampled_from(_outside_nodes(solver))))
+        i = Node(data.draw(st.sampled_from(sorted(solver.supp))))
+        queries = [
+            lambda s: s.gap(o, i),
+            lambda s: s.gap(i, o),
+            lambda s: s.forced_gap(Segment(o, o)),
+            lambda s: s.isolation_gap(o),
+            lambda s: s.solve([IsolateNode(o)]),
+            lambda s: s.norm_sq([SeparatePair(i, o)]),
+            lambda s: s.solve([ForceSegment(Segment(o, o))]),
+        ]
+        for query in queries:
+            messages = []
+            for read_first in (False, True):
+                s = NormSolver(x)
+                if read_first:
+                    s.ran
+                with pytest.raises(DomainError, match="lies outside ran") as exc:
+                    query(s)
+                messages.append(str(exc.value))
+            assert messages[0] == messages[1]
+        with pytest.raises(DomainError, match="lies outside ran"):
+            constrained_norm_sq(x, [IsolateNode(o)])
+
