@@ -75,7 +75,6 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from os.path import commonprefix
 from typing import Iterable, Union
 
 from .errors import CapError, DomainError, InfeasibleError, InvalidPartitionError
@@ -106,13 +105,12 @@ class Partition:
         """
         clashes = []
         stack: list[Segment] = []
-        by_top = lambda s: (s.top.path, len(s.bottom.path), s.bottom.path)
-        for seg in sorted(self.segments, key=by_top):
+        for seg in sorted(self.segments, key=lambda s: (s.top.path, len(s.bottom.path), s.bottom.path)):
             t = seg.top.path
             while stack and not t.startswith(stack[-1].top.path):
                 stack.pop()
             if stack and stack[-1].bottom.path.startswith(t):
-                clashes.append((_canonical_key(seg), stack[-1], seg))
+                clashes.append((seg.sort_key(), stack[-1], seg))
             stack.append(seg)
         if clashes:
             _, nearest, seg = min(clashes)
@@ -123,19 +121,13 @@ class Partition:
         return cls(frozenset(segments))
 
     def sorted_segments(self) -> list[Segment]:
-        return sorted(self.segments, key=_canonical_key)
+        return sorted(self.segments, key=Segment.sort_key)
 
     def __iter__(self):
         return iter(self.sorted_segments())
 
     def __len__(self) -> int:
         return len(self.segments)
-
-
-def _canonical_key(s: Segment) -> tuple[int, str, int, str]:
-    """Segment.sort_key as one flat tuple."""
-    t, b = s.top.path, s.bottom.path
-    return len(t), t, len(b), b
 
 
 EMPTY_PARTITION = Partition(frozenset())
@@ -284,21 +276,23 @@ class NormSolver:
         of two neighbouring support paths a < b. That prefix is a itself
         when a is a prefix of b, and b's parent when the parent is in the
         support. Otherwise p is kept when it lies in the range, that is
-        when it starts with a's root, a's shallowest support prefix. A
-        support prefix of a precedes a, and every path in between starts
-        with it, so a's root is the previous path's root when that is a
-        prefix of a, and a itself otherwise. ran(x) is never built.
+        when it starts with a's root, a's shallowest support prefix, so
+        that a and b share a component. In the first two cases they share
+        one too, and otherwise b is its component's first path and root.
+        ran(x) is never built.
         """
         order = sorted(self.supp)
         kept = set(order)
         root = order[0] if order else ""
         for a, b in zip(order, order[1:]):
-            if not a.startswith(root):
-                root = a
             if not b.startswith(a) and b[:-1] not in self.supp:
-                p = commonprefix((a, b))
-                if p.startswith(root):
-                    kept.add(p)
+                k = 0  # a < b differ before either ends
+                while a[k] == b[k]:
+                    k += 1
+                if len(root) <= k:  # p = a[:k] starts with root, a prefix of a
+                    kept.add(a[:k])
+                else:
+                    root = b
         return kept
 
     # -- public ---------------------------------------------------------

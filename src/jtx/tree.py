@@ -97,8 +97,9 @@ class Segment:
         b = self.bottom.path
         return [Node(b[:k]) for k in range(self.top.depth, self.bottom.depth + 1)]
 
-    def sort_key(self) -> tuple[tuple[int, str], tuple[int, str]]:
-        return (self.top.sort_key(), self.bottom.sort_key())
+    def sort_key(self) -> tuple[int, str, int, str]:
+        t, b = self.top.path, self.bottom.path
+        return len(t), t, len(b), b
 
     def __repr__(self) -> str:
         return f"Segment({self.top.path!r}, {self.bottom.path!r})"

@@ -32,7 +32,8 @@ def parse_rational(value: RationalLike) -> Fraction:
 
     Exponent forms such as "1e50" are rejected: a few characters would
     otherwise denote an integer of any size. So are "_", a digit separator
-    to Fraction on 3.11+ only, and non-ASCII characters such as digits.
+    to Fraction on 3.11+ only, whitespace inside the value, which Fraction
+    allows around "/" on 3.12+ only, and non-ASCII characters such as digits.
     """
     if isinstance(value, Fraction):
         return value
@@ -43,8 +44,10 @@ def parse_rational(value: RationalLike) -> Fraction:
     if isinstance(value, str):
         if "e" in value.lower():
             raise InputError(f"exponent forms are not accepted, got {_shown(repr(value))}")
-        if "_" in value or not value.isascii():
-            raise InputError(f"'_' and non-ASCII characters are not accepted, got {_shown(repr(value))}")
+        if "_" in value or not value.isascii() or any(c.isspace() for c in value.strip()):
+            raise InputError(
+                f"'_', inner whitespace and non-ASCII characters are not accepted, got {_shown(repr(value))}"
+            )
         try:
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:

@@ -564,7 +564,8 @@ class TestErrors:
         assert code == 2
         assert "exponent" in json.loads(err)["error"]["message"]
 
-    @pytest.mark.parametrize("value", ["1_000", "1/2_0", "1.5_0", "\u0661\u0662", "\uff11\uff12"])
+    @pytest.mark.parametrize("value", ["1_000", "1/2_0", "1.5_0", "1 / 2", "1/ 2",
+                                       "\u0661\u0662", "\uff11\uff12"])
     def test_separator_and_non_ascii_values_rejected(self, tmp_path, capsys, value):
         path = tmp_path / "sep.json"
         path.write_text(json.dumps({"vector": {"": value, "0": "1"}}))
@@ -572,7 +573,7 @@ class TestErrors:
         assert (code, out) == (2, "")
         error = json.loads(err)["error"]
         assert error == {"type": "InputError", "message":
-                         f"'_' and non-ASCII characters are not accepted, got {value!r}"}
+                         f"'_', inner whitespace and non-ASCII characters are not accepted, got {value!r}"}
 
     @pytest.mark.parametrize("value, norm_sq", [("1000", "1000000"), ("1/20", "1/400"),
                                                 ("1.50", "9/4"), (" -12 ", "144")])

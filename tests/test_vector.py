@@ -27,9 +27,10 @@ from jtx import (
 )
 
 EX = TreeVector.from_dict({"": 1, "00": 1, "01": 1})
-# values whose parse by Fraction depends on the Python version or admits
-# digits of other scripts (Arabic-Indic, fullwidth)
-SEPARATOR_AND_NON_ASCII = ["1_000", "1/2_0", "1.5_0", "\u0661\u0662", "\uff11\uff12"]
+# values whose parse by Fraction depends on the Python version ("_" on
+# 3.11+, spaces around "/" on 3.12+) or admits digits of other scripts
+# (Arabic-Indic, fullwidth)
+SEPARATOR_AND_NON_ASCII = ["1_000", "1/2_0", "1.5_0", "1 / 2", "1/ 2", "\u0661\u0662", "\uff11\uff12"]
 
 
 class TestConstruction:
@@ -58,13 +59,14 @@ class TestConstruction:
         with pytest.raises(InputError, match="exponent"):
             parse_rational(text)
 
-    # Fraction reads "_" as a digit separator on 3.11+ only, and other
-    # scripts' digits on every version; one grammar holds on every Python
+    # Fraction reads "_" as a digit separator on 3.11+ only, spaces around
+    # "/" on 3.12+ only, and other scripts' digits on every version; one
+    # grammar holds on every Python
     @pytest.mark.parametrize("text", SEPARATOR_AND_NON_ASCII)
     def test_rejects_separators_and_non_ascii(self, text):
         with pytest.raises(InputError) as exc:
             parse_rational(text)
-        assert str(exc.value) == f"'_' and non-ASCII characters are not accepted, got {text!r}"
+        assert str(exc.value) == f"'_', inner whitespace and non-ASCII characters are not accepted, got {text!r}"
 
     @pytest.mark.parametrize("text, value", [
         ("1000", 1000), ("-12", -12), ("1/20", Fraction(1, 20)), ("1.50", Fraction(3, 2)),
@@ -88,7 +90,7 @@ class TestConstruction:
         ("x" * 100_000, "cannot parse rational '" + "x" * 199 + "... (100002 characters): "),
         ("7" * 3000 + "/0", "cannot parse rational '" + "7" * 199 + "... (3004 characters): "),
         ("1e" + "1" * 100_000, "exponent forms are not accepted, got '1e" + "1" * 197 + "... "),
-        ("_" + "1" * 100_000, "'_' and non-ASCII characters are not accepted, got '_"
+        ("_" + "1" * 100_000, "'_', inner whitespace and non-ASCII characters are not accepted, got '_"
          + "1" * 198 + "... (100003 characters)"),
     ])
     def test_long_values_echo_cut_short(self, text, start):
