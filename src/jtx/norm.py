@@ -286,7 +286,7 @@ class NormSolver:
         root = order[0] if order else ""
         for a, b in zip(order, order[1:]):
             if not b.startswith(a) and b[:-1] not in self.supp:
-                k = 0  # a < b differ before either ends
+                k = 0  # b does not start with a < b, so they differ before either ends
                 while a[k] == b[k]:
                     k += 1
                 if len(root) <= k:  # p = a[:k] starts with root, a prefix of a

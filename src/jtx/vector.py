@@ -44,7 +44,7 @@ def parse_rational(value: RationalLike) -> Fraction:
     if isinstance(value, str):
         if "e" in value.lower():
             raise InputError(f"exponent forms are not accepted, got {_shown(repr(value))}")
-        if "_" in value or not value.isascii() or any(c.isspace() for c in value.strip()):
+        if "_" in value or not value.isascii() or len(value.split()) > 1:
             raise InputError(
                 f"'_', inner whitespace and non-ASCII characters are not accepted, got {_shown(repr(value))}"
             )

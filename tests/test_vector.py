@@ -30,7 +30,8 @@ EX = TreeVector.from_dict({"": 1, "00": 1, "01": 1})
 # values whose parse by Fraction depends on the Python version ("_" on
 # 3.11+, spaces around "/" on 3.12+) or admits digits of other scripts
 # (Arabic-Indic, fullwidth)
-SEPARATOR_AND_NON_ASCII = ["1_000", "1/2_0", "1.5_0", "1 / 2", "1/ 2", "\u0661\u0662", "\uff11\uff12"]
+SEPARATOR_AND_NON_ASCII = ["1_000", "1/2_0", "1.5_0", "1 / 2", "1/ 2", "1\t/2",
+                           "\u0661\u0662", "\uff11\uff12"]
 
 
 class TestConstruction:
