@@ -29,14 +29,15 @@ parsing.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import os
 import sys
-from typing import IO, Callable
+from typing import IO, Iterator
 
 from . import dot as dot_mod
 from . import wire
-from .errors import InputError, InternalError, JtxError
+from .errors import CapError, InputError, InternalError, JtxError
 from .extremality import (
     _isolation_report,
     _perturbation,
@@ -55,7 +56,7 @@ from .norm import (
     score,
 )
 from .tree import parse_node
-from .vector import TreeVector, format_rational
+from .vector import format_rational
 
 
 @functools.cache
@@ -118,31 +119,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_vector(path: str) -> TreeVector:
-    if path == "-":
-        return wire.load_vector(sys.stdin)
+@contextlib.contextmanager
+def _user_file(path: str, mode: str = "r") -> Iterator[IO[str]]:
+    """path opened as UTF-8 text; an OSError from opening it or in the body is an InputError."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return wire.load_vector(fh)
+        with open(path, mode, encoding="utf-8") as fh:
+            yield fh
     except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from None
-
-
-def _load_partition(path: str):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return wire.load_partition(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from None
-
-
-def _write(path: str, write: Callable[[IO[str]], object]) -> None:
-    """Open path for writing and hand it to write; an OSError is an InputError."""
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            write(fh)
-    except OSError as exc:
-        raise InputError(f"cannot write {path}: {exc}") from None
+        raise InputError(f"cannot {'write' if mode == 'w' else 'read'} {path}: {exc}") from None
 
 
 def _resolve_cap(args: argparse.Namespace) -> int:
@@ -163,7 +147,11 @@ def _resolve_cap(args: argparse.Namespace) -> int:
 
 def _run(args: argparse.Namespace) -> dict:
     wire.check_digits(args.digits)
-    x = _load_vector(args.vector)
+    if args.vector == "-":
+        x = wire.load_vector(sys.stdin)
+    else:
+        with _user_file(args.vector) as fh:
+            x = wire.load_vector(fh)
 
     if args.command == "norm":
         cap = _resolve_cap(args) if args.oracle else None
@@ -198,7 +186,8 @@ def _run(args: argparse.Namespace) -> dict:
         }
 
     if args.command == "consistent":
-        partition = _load_partition(args.partition)
+        with _user_file(args.partition) as fh:
+            partition = wire.load_partition(fh)
         ok, violations = consistent_with_greedy(x, partition)
         return {
             "consistent": ok,
@@ -233,27 +222,30 @@ def _run(args: argparse.Namespace) -> dict:
         u, v = parse_node(args.u), parse_node(args.v)
         solver = NormSolver(x)
         y, eps = _perturbation(solver, u, v)
+        try:
+            vanishes = vanishes_on_all_norming(x, y, cap)
+        except CapError:
+            vanishes = None
         return {
             "u": u.path,
             "v": v.path,
             "epsilon": format_rational(eps),
             "y": wire.vector_to_doc(y),
             "norm_sq": format_rational(solver.norm_sq()),
-            "vanishes_on_all_norming": (
-                vanishes_on_all_norming(x, y, cap) if len(x.range()) <= cap else None
-            ),
+            "vanishes_on_all_norming": vanishes,
         }
 
     if args.command == "dot":
         if not args.out:
             raise InputError("dot requires --out FILE for the DOT text")
-        partition = (
-            _load_partition(args.partition)
-            if args.partition
-            else jt_norm_sq(x).witness
-        )
+        if args.partition:
+            with _user_file(args.partition) as fh:
+                partition = wire.load_partition(fh)
+        else:
+            partition = jt_norm_sq(x).witness
         text = dot_mod.render_dot(x, partition)
-        _write(args.out, lambda fh: fh.write(text))
+        with _user_file(args.out, "w") as fh:
+            fh.write(text)
         return {
             "out": args.out,
             "nodes": len(x.range()),
@@ -268,7 +260,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         doc = _run(args)
         if args.command != "dot" and args.out:
-            _write(args.out, lambda fh: wire.dump(doc, fh))
+            with _user_file(args.out, "w") as fh:
+                wire.dump(doc, fh)
         else:
             wire.dump(doc, sys.stdout)
     except JtxError as exc:

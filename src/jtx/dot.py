@@ -17,6 +17,10 @@ _PALETTE = [
 ]
 
 
+def _color(segment: int) -> str:
+    return _PALETTE[segment % len(_PALETTE)]
+
+
 def _label(node: Node, x: TreeVector) -> str:
     name = node.path or "e"
     value = x.value(node)
@@ -29,20 +33,17 @@ def render_dot(x: TreeVector, partition: Partition | None = None) -> str:
     """DOT text for ran(x); segments of the partition are colored."""
     ran = canonical_order(x.range())
     supp = x.support()
-    color_of: dict[Node, str] = {}
     segment_of: dict[Node, int] = {}
     segments = partition.sorted_segments() if partition is not None else []
     for i, seg in enumerate(segments):
-        color = _PALETTE[i % len(_PALETTE)]
         for member in seg.members():
-            color_of[member] = color
             segment_of[member] = i
 
     lines = ["digraph ran {", '  node [fontname="Helvetica"];']
     for n in ran:
         attrs = [f'label="{_label(n, x)}"']
-        if n in color_of:
-            attrs.append(f'color="{color_of[n]}"')
+        if n in segment_of:
+            attrs.append(f'color="{_color(segment_of[n])}"')
             attrs.append("penwidth=2")
         if n not in supp:
             attrs.append("style=dashed")
@@ -53,12 +54,9 @@ def render_dot(x: TreeVector, partition: Partition | None = None) -> str:
             if c not in have:
                 continue
             attrs = []
-            if (
-                n in segment_of
-                and c in segment_of
-                and segment_of[n] == segment_of[c]
-            ):
-                attrs = [f'color="{color_of[n]}"', "penwidth=2"]
+            i = segment_of.get(n)
+            if i is not None and i == segment_of.get(c):
+                attrs = [f'color="{_color(i)}"', "penwidth=2"]
             suffix = f' [{", ".join(attrs)}]' if attrs else ""
             lines.append(f'  "{n.path or "e"}" -> "{c.path or "e"}"{suffix};')
     lines.append("}")

@@ -152,22 +152,26 @@ def greedy_partition(
         raise DomainError(f"unknown tie policy {tie_policy!r}")
     st = SupportTree(x)
     kids, s, node = st._forest.kids, st._s, st._node
-    trace = GreedyTrace(s_values=st.s)
-    chosen: dict[str, Optional[str]] = {}
-    for n in st.nodes:
-        top = max((s[c] for c in kids[n.path]), default=0)
-        ties = sorted((c for c in kids[n.path] if s[c] == top), key=len)
-        pick = chosen[n.path] = (ties[0] if tie_policy == "lex-min" else ties[-1]) if ties else None
-        trace.chosen[n] = None if pick is None else node[pick]
-        trace.tie_sets[n] = tuple(node[c] for c in ties)
-
+    trace = GreedyTrace()
     segments = []
+    # every support node is a root, a kid left behind, or the pick of its parent,
+    # so the walk records each one exactly once
     heads = list(st._forest.roots)
     while heads:
         head = cur = heads.pop()
-        while chosen[cur] is not None:
-            heads.extend(c for c in kids[cur] if c != chosen[cur])
-            cur = chosen[cur]
+        while True:
+            n = node[cur]
+            trace.s_values[n] = Fraction(s[cur], st._den)
+            top = max((s[c] for c in kids[cur]), default=0)
+            ties = sorted((c for c in kids[cur] if s[c] == top), key=len)
+            trace.tie_sets[n] = tuple(node[c] for c in ties)
+            if not ties:
+                trace.chosen[n] = None
+                break
+            pick = ties[0] if tie_policy == "lex-min" else ties[-1]
+            trace.chosen[n] = node[pick]
+            heads.extend(c for c in kids[cur] if c != pick)
+            cur = pick
         segments.append(Segment(node[head], node[cur]))
     return Partition(frozenset(segments)), trace
 

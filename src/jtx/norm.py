@@ -548,9 +548,9 @@ class NormSolver:
                     opens[new] = cand
         closed, closing = done, None
         if p in self.supp:
-            for key in sorted(opens):
-                cand = opens[key] + key[0] * key[0]
-                if cand > closed:
+            for key, sc in opens.items():
+                cand = sc + key[0] * key[0]
+                if cand > closed or cand == closed and closing is not None and key < closing:
                     closed, closing = cand, key
         return done, opens, closed, closing
 
@@ -633,7 +633,7 @@ def canonical_segments(x: TreeVector) -> list[Segment]:
 
 def _scaled_weights(x: TreeVector, segs: list[Segment]) -> tuple[list[int], int]:
     values = {n.path: v for n, v in x.items()}
-    den = lcm(*(v.denominator for v in values.values())) if values else 1
+    den = lcm(*(v.denominator for v in values.values()))
     scaled = {p: int(v * den) for p, v in values.items()}
     sums = []
     for seg in segs:
@@ -677,8 +677,6 @@ def oracle_norm_sq(x: TreeVector, cap: int | None = None) -> Fraction:
     """Exhaustive maximum over all canonical families; no DP shortcuts."""
     _check_cap(x, cap)
     segs = canonical_segments(x)
-    if not segs:
-        return Fraction(0)
     sums, den = _scaled_weights(x, segs)
     best = max(sc for _, sc in _iter_family_scores(segs, sums))
     return Fraction(best, den * den)
@@ -688,8 +686,6 @@ def enumerate_norming(x: TreeVector, cap: int | None = None) -> set[Partition]:
     """All canonical partitions whose score equals the squared norm."""
     _check_cap(x, cap)
     segs = canonical_segments(x)
-    if not segs:
-        return {EMPTY_PARTITION}
     sums, den = _scaled_weights(x, segs)
     best = -1
     found: list[tuple] = []

@@ -75,6 +75,8 @@ class TreeVector:
     def __init__(self, entries: Mapping[Node, RationalLike]):
         cleaned: dict[Node, Fraction] = {}
         for node, raw in entries.items():
+            if not isinstance(node, Node):
+                raise InputError(f"vector keys must be Nodes, got {_shown(repr(node))}")
             value = parse_rational(raw)
             if value != 0:
                 cleaned[node] = value
@@ -158,10 +160,7 @@ class TreeVector:
         return TreeVector(merged)
 
     def __sub__(self, other: TreeVector) -> TreeVector:
-        merged = dict(self._entries)
-        for node, v in other._entries.items():
-            merged[node] = merged.get(node, Fraction(0)) - v
-        return TreeVector(merged)
+        return self + other.scale(-1)
 
     def scale(self, c: RationalLike) -> TreeVector:
         factor = parse_rational(c)

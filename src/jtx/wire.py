@@ -131,13 +131,9 @@ def sqrt_decimal(q: Fraction, digits: int = DEFAULT_DIGITS) -> str:
     check_digits(digits)
     p, r = q.numerator, q.denominator
     scaled = p * 10 ** (2 * digits)
-    n = isqrt(scaled // r)
-    # n is within 2 of the correctly rounded value; settle it exactly:
-    # want the unique n with (2n-1)^2 r <= 4*scaled < (2n+1)^2 r
-    while n > 0 and 4 * scaled < (2 * n - 1) ** 2 * r:
-        n -= 1
-    while 4 * scaled >= (2 * n + 1) ** 2 * r:
-        n += 1
+    # the unique n with (2n-1)^2 r <= 4*scaled < (2n+1)^2 r, since
+    # m = isqrt(4*scaled // r) = floor(sqrt(4*scaled / r)) has 2n-1 <= m < 2n+1
+    n = (isqrt(4 * scaled // r) + 1) // 2
     try:
         if digits == 0:
             return str(n)
@@ -160,6 +156,10 @@ def norm_result_doc(res: NormResult, digits: int = DEFAULT_DIGITS) -> dict:
     }
 
 
+def _pair_doc(pair: tuple[Node, Node] | None) -> list[str] | None:
+    return None if pair is None else [pair[0].path, pair[1].path]
+
+
 def separation_doc(report: SeparationReport) -> dict:
     pairs = sorted(
         report.pair_gaps.items(),
@@ -172,11 +172,7 @@ def separation_doc(report: SeparationReport) -> dict:
             {"u": u.path, "v": v.path, "gap": format_rational(g)}
             for (u, v), g in pairs
         ],
-        "first_blocked_pair": (
-            None
-            if report.first_blocked_pair is None
-            else [report.first_blocked_pair[0].path, report.first_blocked_pair[1].path]
-        ),
+        "first_blocked_pair": _pair_doc(report.first_blocked_pair),
     }
 
 
@@ -184,11 +180,7 @@ def certificate_doc(cert: ExtremeCertificate) -> dict:
     return {
         "verdict": cert.verdict,
         "basis": cert.basis,
-        "blocked_pair": (
-            None
-            if cert.blocked_pair is None
-            else [cert.blocked_pair[0].path, cert.blocked_pair[1].path]
-        ),
+        "blocked_pair": _pair_doc(cert.blocked_pair),
         "witness_y": None if cert.witness_y is None else vector_to_doc(cert.witness_y),
         "epsilon": None if cert.epsilon is None else format_rational(cert.epsilon),
         "norm_sq": format_rational(cert.norm_sq),
@@ -241,5 +233,4 @@ def equal_sums_doc(report: EqualSumsReport) -> dict:
 
 
 def dump(doc: Any, stream: IO[str]) -> None:
-    json.dump(doc, stream, indent=2)
-    stream.write("\n")
+    stream.write(json.dumps(doc, indent=2) + "\n")

@@ -17,7 +17,12 @@ Claims:
       cut short, so a 100,000 character one leaves a stderr under 1,000
       bytes; ASCII values parse as before
     - an --out path that cannot be written exits 2 with an InputError
-      document, for norm and for dot
+      document, for norm and for dot, and so does a --partition file that
+      cannot be read, for consistent and for dot
+    - norm reads the vector from stdin for "-" and gives the document it
+      gives for the same file
+    - witness answers vanishes_on_all_norming iff |ran(x)| is within the
+      oracle cap, and null past it
     - a result too long to write out in decimal exits 2 with an error
       document, and extreme and witness find scales below 2^-64
     - isolatable builds one solver per command, and witness one solver on
@@ -31,6 +36,7 @@ Claims:
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import shlex
@@ -86,6 +92,12 @@ class TestNorm:
         _, out1, _ = _run(capsys, ["norm", vec_file])
         _, out2, _ = _run(capsys, ["norm", vec_file])
         assert out1 == out2
+
+    def test_stdin_matches_file(self, vec_file, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(EXAMPLE)))
+        from_stdin = _run(capsys, ["norm", "-"])
+        assert from_stdin == _run(capsys, ["norm", vec_file])
+        assert from_stdin[0] == 0
 
     def test_out_file(self, vec_file, tmp_path, capsys):
         target = tmp_path / "norm.json"
@@ -317,6 +329,14 @@ class TestOtherCommands:
         assert doc["y"] == {"vector": {"": "1/2", "0": "-1/2"}}
         assert doc["vanishes_on_all_norming"] is True
 
+    def test_witness_past_the_cap(self, vec_file, capsys):
+        """|ran(x)| = 4: a cap of 3 leaves the check unanswered, 4 answers it."""
+        argv = ["witness", vec_file, "--u", "", "--v", "0", "--oracle-cap"]
+        for cap, vanishes in [("3", None), ("4", True)]:
+            code, out, _ = _run(capsys, [*argv, cap])
+            assert code == 0
+            assert json.loads(out)["vanishes_on_all_norming"] is vanishes
+
     def test_dot(self, vec_file, tmp_path, capsys):
         target = tmp_path / "ran.gv"
         code, out, _ = _run(capsys, ["dot", vec_file, "--out", str(target)])
@@ -372,6 +392,17 @@ class TestErrors:
         code, _, err = _run(capsys, ["norm", "/nonexistent/x.json"])
         assert code == 2
         assert json.loads(err)["error"]["type"] == "InputError"
+
+    @pytest.mark.parametrize("command", [["consistent"], ["dot", "--out", "g.gv"]])
+    def test_unreadable_partition(self, vec_file, tmp_path, capsys, command, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        missing = tmp_path / "missing.json"
+        code, out, err = _run(capsys, [command[0], vec_file, *command[1:], "--partition", str(missing)])
+        assert (code, out) == (2, "")
+        error = json.loads(err)["error"]
+        assert error["type"] == "InputError"
+        assert error["message"].startswith(f"cannot read {missing}: ")
+        assert not (tmp_path / "g.gv").exists()
 
     def test_bad_json(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

@@ -12,6 +12,8 @@ Claims:
     - forcing a maximal head segment at a minimal support node keeps the
       norm attainable
     - all tie branches of the greedy walk score identically
+    - the walk's trace equals the per-node pre-pass it replaced, and an
+      unknown tie policy is a DomainError
 """
 
 from __future__ import annotations
@@ -126,6 +128,10 @@ class TestGreedyPartition:
         with pytest.raises(PositivityError):
             greedy_partition(SIGNED)
 
+    def test_rejects_unknown_tie_policy(self):
+        with pytest.raises(DomainError, match="^unknown tie policy 'lex-mid'$"):
+            greedy_partition(EX, "lex-mid")
+
     def test_trace_invariants(self):
         rng = random.Random(31)
         for _ in range(30):
@@ -142,6 +148,25 @@ class TestGreedyPartition:
                     c for c in kids if trace.s_values[c] == top
                 }
                 assert trace.chosen[n] in trace.tie_sets[n]
+
+    @pytest.mark.parametrize("tie_policy", ["lex-min", "lex-max"])
+    def test_trace_equals_per_node_reference(self, tie_policy):
+        """The walk's trace equals one built node by node from SupportTree's
+        views, the pre-pass the walk replaced."""
+        rng = random.Random(33)
+        for _ in range(60):
+            x = random_positive(rng, max_depth=5)
+            st = SupportTree(x)
+            _, trace = greedy_partition(x, tie_policy)
+            ties = {}
+            for n in st.nodes:
+                top = max((st.s[c] for c in st.children[n]), default=0)
+                ties[n] = tuple(sorted((c for c in st.children[n] if st.s[c] == top),
+                                       key=Node.sort_key))
+            pick = 0 if tie_policy == "lex-min" else -1
+            assert trace.s_values == st.s
+            assert trace.tie_sets == ties
+            assert trace.chosen == {n: t[pick] if t else None for n, t in ties.items()}
 
     def test_greedy_attains_norm_randomly(self):
         rng = random.Random(32)

@@ -16,7 +16,9 @@ Claims:
       InfeasibleError is raised exactly when no family qualifies
     - separation gaps match the worked example and vanish on
       incomparable pairs
-    - constraint sets shrink the constrained optimum monotonically
+    - constraint sets shrink the constrained optimum monotonically; a
+      SeparatePair of one node and an object that is no constraint each
+      raise DomainError
     - restriction to a complete subtree never increases the norm
     - parent-child gaps, node isolation and every forced segment
       answered from the cached tables equal the constrained DP, and the
@@ -342,6 +344,14 @@ class TestConstrained:
     def test_constraint_outside_range(self):
         with pytest.raises(DomainError):
             constrained_norm_sq(EX, {IsolateNode(Node("11"))})
+
+    def test_separate_pair_needs_two_nodes(self):
+        with pytest.raises(DomainError, match="^SeparatePair requires two distinct nodes$"):
+            constrained_norm_sq(EX, {SeparatePair(Node("0"), Node("0"))})
+
+    def test_unknown_constraint_rejected(self):
+        with pytest.raises(DomainError, match="^unknown constraint "):
+            constrained_norm_sq(EX, [Segment(Node(""), Node("0"))])
 
     def test_monotone_in_constraint_sets(self):
         rng = random.Random(20)

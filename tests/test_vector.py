@@ -9,6 +9,8 @@ Claims:
       cut short with its length
     - a value holding "_" or a non-ASCII character is an InputError on
       every Python version; ASCII forms parse as before
+    - a value of another type, and a TreeVector key that is not a Node,
+      are InputErrors, which echo a long key cut short
 """
 
 from __future__ import annotations
@@ -110,6 +112,19 @@ class TestConstruction:
     def test_duplicate_nodes_rejected(self):
         with pytest.raises(InputError):
             TreeVector.from_dict({"0": 1, Node("0"): 2})
+
+    def test_other_types_rejected(self):
+        with pytest.raises(InputError, match="^cannot parse rational from NoneType$"):
+            parse_rational(None)
+
+    @pytest.mark.parametrize("key", ["0", 0, None, "0" * 300], ids=["str", "int", "None", "long"])
+    def test_keys_must_be_nodes(self, key):
+        shown = repr(key)
+        if len(shown) > 200:
+            shown = f"{shown[:200]}... ({len(shown)} characters)"
+        with pytest.raises(InputError) as exc:
+            TreeVector({key: 1})
+        assert str(exc.value) == f"vector keys must be Nodes, got {shown}"
 
     def test_immutability_of_transforms(self):
         y = EX.restrict([Node("")])

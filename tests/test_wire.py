@@ -8,7 +8,11 @@ Claims:
       integer past the interpreter's limit on integer text and nesting
       past its recursion limit
     - sqrt_decimal is correctly rounded at the last digit and accepts
-      exactly 0..MAX_DIGITS digits
+      exactly 0..MAX_DIGITS digits; its closed form gives the digits of
+      the correction loops it replaced on exact squares, half-ulp ties
+      and random rationals
+    - a vector document with a node key that is not a string, and a
+      partition or segment document of the wrong shape, raise InputError
     - format_rational and sqrt_decimal raise InputError on values past
       the interpreter's limit on integer text
 """
@@ -17,8 +21,10 @@ from __future__ import annotations
 
 import io
 import json
+import random
 import sys
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -63,6 +69,10 @@ class TestVectorDocs:
             with pytest.raises(InputError):
                 vector_from_doc(doc)
 
+    def test_node_keys_must_be_strings(self):
+        with pytest.raises(InputError, match="^node keys must be strings, got 0$"):
+            vector_from_doc({"vector": {0: "1"}})
+
     def test_depth_cap(self):
         deep = {"vector": {"0" * 31: "1"}}
         with pytest.raises(InputError):
@@ -104,6 +114,18 @@ class TestPartitionDocs:
         }
         with pytest.raises(InvalidPartitionError):
             load_partition(io.StringIO(json.dumps(doc)))
+
+    @pytest.mark.parametrize("doc, kind", [
+        ([], "partition"),
+        ({"segs": []}, "partition"),
+        ({"segments": {}}, "partition"),
+        ({"segments": [["", "0"]]}, "segment"),
+        ({"segments": [{"top": ""}]}, "segment"),
+        ({"segments": [{"bottom": "0"}]}, "segment"),
+    ])
+    def test_rejects_bad_documents(self, doc, kind):
+        with pytest.raises(InputError, match=f"^{kind} document must be "):
+            partition_from_doc(doc)
 
     def test_load_rejects_repeated_keys(self):
         text = '{"segments": [{"top": "", "bottom": "0", "bottom": "00"}]}'
@@ -147,6 +169,20 @@ class TestMalformedBytes:
             load_partition(io.StringIO('{"segments": ' + deep + "}"))
 
 
+def _rounded_sqrt_by_loop(q: Fraction, digits: int) -> int:
+    """sqrt(q) * 10**digits rounded to nearest, ties up: the integer square
+    root estimate and the two correction loops sqrt_decimal used before its
+    closed form, kept as the reference."""
+    p, r = q.numerator, q.denominator
+    scaled = p * 10 ** (2 * digits)
+    n = isqrt(scaled // r)
+    while n > 0 and 4 * scaled < (2 * n - 1) ** 2 * r:
+        n -= 1
+    while 4 * scaled >= (2 * n + 1) ** 2 * r:
+        n += 1
+    return n
+
+
 class TestSqrtDecimal:
     def test_sqrt_five(self):
         # sqrt(5) = 2.23606797749978969... -> rounds up in the 12th digit
@@ -171,6 +207,24 @@ class TestSqrtDecimal:
         for q in [Fraction(2), Fraction(3), Fraction(10), Fraction(7, 3)]:
             want = f"{math.sqrt(q):.9f}"
             assert sqrt_decimal(q, 9) == want
+
+    def test_closed_form_matches_the_correction_loops(self):
+        """Exact squares, half-ulp ties and random rationals, 0 to 40 digits."""
+        rng = random.Random(16)
+        for _ in range(2000):
+            digits = rng.randint(0, 40)
+            root = Fraction(rng.randint(0, 10 ** rng.randint(0, 12)),
+                            rng.randint(1, 10 ** rng.randint(0, 8)))
+            k = rng.randint(0, 10 ** rng.randint(0, 15))
+            tie = Fraction(2 * k + 1, 2 * 10**digits) ** 2  # sqrt lands half-way past k
+            assert _rounded_sqrt_by_loop(tie, digits) == k + 1
+            other = Fraction(rng.randint(0, 10 ** rng.randint(0, 30)),
+                             rng.randint(1, 10 ** rng.randint(0, 20)))
+            for q in (root * root, tie, other):
+                n = _rounded_sqrt_by_loop(q, digits)
+                whole, frac = divmod(n, 10**digits)
+                want = str(n) if digits == 0 else f"{whole}.{frac:0{digits}d}"
+                assert sqrt_decimal(q, digits) == want, (q, digits)
 
     def test_rejects_negative(self):
         with pytest.raises(InputError):
