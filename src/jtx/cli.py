@@ -15,10 +15,11 @@ as "1e50" are rejected), and every output value must fit the
 interpreter's limit on the digits of integer text. The oracle cap (from
 --oracle-cap or JTX_ORACLE_CAP) is an integer of at least 0; only the
 commands that read it (norm --oracle, enumerate-norming, witness)
-check it. An input file is UTF-8 text, no JSON object in it may repeat
-a key, its nesting stays within the interpreter's recursion limit, a
-bare integer in it obeys the same digit limit, and a partition
-segment's top and bottom are strings.
+check it. An input file, or a vector read from stdin, is UTF-8 text
+whatever the locale, no JSON object in it may repeat a key, its nesting
+stays within the interpreter's recursion limit, a bare integer in it
+obeys the same digit limit, and a partition segment's top and bottom
+are strings.
 
 The argument parser is built once per process, on the first main()
 call, and reused by every later call: it holds no per-call state, since
@@ -147,8 +148,8 @@ def _resolve_cap(args: argparse.Namespace) -> int:
 
 def _run(args: argparse.Namespace) -> dict:
     wire.check_digits(args.digits)
-    if args.vector == "-":
-        x = wire.load_vector(sys.stdin)
+    if args.vector == "-":  # stdin's bytes when it has them, so they too must be UTF-8
+        x = wire.load_vector(getattr(sys.stdin, "buffer", sys.stdin))
     else:
         with _user_file(args.vector) as fh:
             x = wire.load_vector(fh)
@@ -202,7 +203,7 @@ def _run(args: argparse.Namespace) -> dict:
             enumerate_norming(x, _resolve_cap(args)),
             key=lambda p: [s.sort_key() for s in p.sorted_segments()],
         )
-        norm_sq = jt_norm_sq(x).norm_sq
+        norm_sq = NormSolver(x).norm_sq()
         return {
             "norm_sq": format_rational(norm_sq),
             "count": len(partitions),

@@ -87,7 +87,7 @@ def _separation_scan(
         # parent-child pair (segments are convex)
         raise InternalError("blocked pair without a blocked parent-child pair")
     return SeparationReport(
-        separated=blocked is None and all(g == 0 for g in gaps.values()),
+        separated=blocked is None,
         pair_gaps=gaps,
         first_blocked_pair=blocked,
         mode="all-comparable" if all_pairs else "parent-child",
@@ -259,7 +259,7 @@ def equal_sums_report(x: TreeVector) -> EqualSumsReport:
     per_node = _descent_sums(x)
     st = SupportTree(x)
     branch_sums = {
-        n: {Node(bottom): s for bottom, s in sorted(per_node[n.path].items())}
+        n: {Node(bottom): s for bottom, s in per_node[n.path].items()}
         for n in st.nodes
     }
     holds = all(len(set(d.values())) <= 1 for d in branch_sums.values())

@@ -24,7 +24,7 @@ from functools import cached_property
 from typing import Optional
 
 from .errors import DomainError
-from .norm import NormSolver, Partition, jt_norm_sq
+from .norm import NormSolver, Partition
 from .tree import Node, Segment, _forest
 from .vector import TreeVector
 
@@ -188,10 +188,10 @@ def recursive_norm_check(x: TreeVector, a: Node) -> bool:
     if a not in st.children:
         raise DomainError(f"node {a.path!r} is not in supp(x)")
     kids = st.children[a]
-    lhs = jt_norm_sq(x.wedge(a)).norm_sq
+    lhs = NormSolver(x.wedge(a)).norm_sq()
     middle = 2 * x.value(a) * max((st.s[c] for c in kids), default=Fraction(0))
     rhs = x.value(a) ** 2 + middle + sum(
-        (jt_norm_sq(x.wedge(c)).norm_sq for c in kids), Fraction(0)
+        (NormSolver(x.wedge(c)).norm_sq() for c in kids), Fraction(0)
     )
     return lhs == rhs
 

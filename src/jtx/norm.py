@@ -172,19 +172,19 @@ def score(x: TreeVector, p: Partition) -> Fraction:
 class _SepSpec:
     """Comparable separation pairs, indexed for the DP masks.
 
-    Pair i is (upper[i], lower node); upper_at and lower_at map a node to
-    the increasing tuple of the pairs it ends, so the masks built from
-    them stay sorted tuples of pair indices.
+    Pair i is (upper node, lower node). upper_at maps a node to the set
+    of the pairs whose upper node it is, and lower_at to the increasing
+    tuple of those whose lower node it is, so the masks built from
+    lower_at stay sorted tuples of pair indices.
     """
 
-    __slots__ = ("upper", "upper_at", "lower_at")
+    __slots__ = ("upper_at", "lower_at")
 
     def __init__(self, pairs: list[tuple[str, str]]):
-        self.upper = [u for u, _ in pairs]
-        self.upper_at: dict[str, tuple[int, ...]] = {}
+        self.upper_at: dict[str, frozenset[int]] = {}
         self.lower_at: dict[str, tuple[int, ...]] = {}
         for i, (u, v) in enumerate(pairs):
-            self.upper_at[u] = self.upper_at.get(u, ()) + (i,)
+            self.upper_at[u] = self.upper_at.get(u, frozenset()) | {i}
             self.lower_at[v] = self.lower_at.get(v, ()) + (i,)
 
 
@@ -334,8 +334,7 @@ class NormSolver:
 
     def forced_gap(self, seg: Segment) -> Fraction:
         """norm_sq minus the best score among partitions containing seg."""
-        self._require_in_ran(seg.top)
-        self._require_in_ran(seg.bottom)
+        self._require_in_ran(seg.top, seg.bottom)
         b, kids = seg.bottom.path, self._skel.kids
         d = self._kept_below(seg.top.path)
         best, s = self._outside(d), 0
@@ -354,22 +353,19 @@ class NormSolver:
         pairs: set[tuple[str, str]] = set()
         forced: set[Segment] = set()
         for c in constraints:
+            if isinstance(c, IsolateNode):  # the one-node forced segment
+                c = ForceSegment(Segment(c.node, c.node))
             if isinstance(c, SeparatePair):
                 if c.u == c.v:
                     raise DomainError("SeparatePair requires two distinct nodes")
-                self._require_in_ran(c.u)
-                self._require_in_ran(c.v)
+                self._require_in_ran(c.u, c.v)
                 if leq(c.u, c.v):
                     pairs.add((c.u.path, c.v.path))
                 elif leq(c.v, c.u):
                     pairs.add((c.v.path, c.u.path))
                 # incomparable pairs are separated by every partition
-            elif isinstance(c, IsolateNode):
-                self._require_in_ran(c.node)
-                forced.add(Segment(c.node, c.node))
             elif isinstance(c, ForceSegment):
-                self._require_in_ran(c.segment.top)
-                self._require_in_ran(c.segment.bottom)
+                self._require_in_ran(c.segment.top, c.segment.bottom)
                 forced.add(c.segment)
             else:
                 raise DomainError(f"unknown constraint {c!r}")
@@ -384,9 +380,11 @@ class NormSolver:
             raise InfeasibleError("no partition satisfies the constraint set")
         return _SepSpec(sorted(pairs)), sorted(forced, key=Segment.sort_key)
 
-    def _require_in_ran(self, node: Node) -> None:
-        if node.path not in self.ran:
-            raise DomainError(f"constraint node {node.path!r} lies outside ran(x)")
+    def _require_in_ran(self, *nodes: Node) -> None:
+        """Raise on the first of the nodes, left to right, that lies outside ran(x)."""
+        for node in nodes:
+            if node.path not in self.ran:
+                raise DomainError(f"constraint node {node.path!r} lies outside ran(x)")
 
     # -- scores -------------------------------------------------------------
 
@@ -402,9 +400,9 @@ class NormSolver:
         constant to every candidate at its top's parent, so every argmax
         and tie-break stays the same.
         """
-        if not sep.upper and not forced:
+        if not sep.upper_at and not forced:
             return self._skel, self._tables
-        ends = {*sep.upper, *sep.lower_at}
+        ends = {*sep.upper_at, *sep.lower_at}
         ends.update(n.path for seg in forced for n in (seg.top, seg.bottom))
         extra = [p for p in ends if p not in self._skel.kids]
         forest = _forest(sorted(self._skel.order + extra)) if extra else self._skel
@@ -531,7 +529,7 @@ class NormSolver:
         done = sum(tables[c][2] for c in kids)
         xv = self.val.get(p, 0)
         start_mask = sep.lower_at.get(p, ())
-        check_pairs = frozenset(sep.upper_at.get(p, ()))
+        check_pairs = sep.upper_at.get(p)
         opens: dict[tuple[int, tuple[int, ...]], int] = {}
         if p in self.supp:
             opens[(xv, start_mask)] = done

@@ -30,6 +30,8 @@ class Node:
     path: str = ""
 
     def __post_init__(self) -> None:
+        if not isinstance(self.path, str):
+            raise InputError(f"node path must be a string, got {_shown(repr(self.path))}")
         if not set(self.path) <= _BITS:
             raise InputError(f"node path must consist of 0/1 bits, got {_shown(repr(self.path))}")
 
@@ -58,8 +60,8 @@ ROOT = Node("")
 
 
 def parse_node(text: str, max_depth: int = DEFAULT_MAX_DEPTH) -> Node:
-    """Parse a node from its wire form (bit string, root = "")."""
-    if len(text) > max_depth:
+    """Parse a node from its wire form (bit string, root = ""); Node rejects a non-string."""
+    if isinstance(text, str) and len(text) > max_depth:
         raise InputError(f"node {_shown(repr(text))} exceeds max depth {max_depth}")
     return Node(text)
 

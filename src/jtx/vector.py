@@ -83,6 +83,15 @@ class TreeVector:
         object.__setattr__(self, "_entries", cleaned)
 
     @classmethod
+    def _of(cls, entries: dict[Node, Fraction]) -> TreeVector:
+        """A vector on entries already clean, Fraction values on Node keys as
+        arithmetic derives them, so only zeros are dropped; outside input
+        goes through __init__."""
+        vec = object.__new__(cls)
+        object.__setattr__(vec, "_entries", {n: v for n, v in entries.items() if v})
+        return vec
+
+    @classmethod
     def from_dict(
         cls,
         entries: Mapping[Union[str, Node], RationalLike],
@@ -143,11 +152,11 @@ class TreeVector:
     def restrict(self, nodes: Iterable[Node]) -> TreeVector:
         """Entries whose node lies in the given finite set."""
         keep = set(nodes)
-        return TreeVector({n: v for n, v in self._entries.items() if n in keep})
+        return TreeVector._of({n: v for n, v in self._entries.items() if n in keep})
 
     def wedge(self, a: Node) -> TreeVector:
         """Restriction to the wedge rooted at a, by prefix test (wedges are infinite)."""
-        return TreeVector({n: v for n, v in self._entries.items() if leq(a, n)})
+        return TreeVector._of({n: v for n, v in self._entries.items() if leq(a, n)})
 
     def segment_sum(self, s: Segment) -> Fraction:
         """Exact sum of the vector over the segment's members."""
@@ -157,14 +166,14 @@ class TreeVector:
         merged = dict(self._entries)
         for node, v in other._entries.items():
             merged[node] = merged.get(node, Fraction(0)) + v
-        return TreeVector(merged)
+        return TreeVector._of(merged)
 
     def __sub__(self, other: TreeVector) -> TreeVector:
         return self + other.scale(-1)
 
     def scale(self, c: RationalLike) -> TreeVector:
         factor = parse_rational(c)
-        return TreeVector({n: v * factor for n, v in self._entries.items()})
+        return TreeVector._of({n: v * factor for n, v in self._entries.items()})
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TreeVector):

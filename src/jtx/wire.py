@@ -44,9 +44,12 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
 _DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
 
 
-def _load_json(stream: IO[str]) -> Any:
+def _load_json(stream: IO) -> Any:
+    """The JSON document in a text stream, or in a byte stream read as strict UTF-8."""
     try:
         text = stream.read()
+        if isinstance(text, bytes):
+            text = text.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise InputError(f"input is not UTF-8 text: {exc}") from None
     try:
@@ -75,7 +78,7 @@ def vector_from_doc(doc: Any, max_depth: int = DEFAULT_MAX_DEPTH) -> TreeVector:
     return TreeVector(entries)
 
 
-def load_vector(stream: IO[str], max_depth: int = DEFAULT_MAX_DEPTH) -> TreeVector:
+def load_vector(stream: IO, max_depth: int = DEFAULT_MAX_DEPTH) -> TreeVector:
     return vector_from_doc(_load_json(stream), max_depth)
 
 
@@ -187,15 +190,16 @@ def certificate_doc(cert: ExtremeCertificate) -> dict:
     }
 
 
+def _node_items(d: dict[Node, Any]) -> list[tuple[Node, Any]]:
+    """d's items in canonical order of their Node keys."""
+    return sorted(d.items(), key=lambda kv: kv[0].sort_key())
+
+
 def greedy_trace_doc(trace: GreedyTrace) -> dict:
-    nodes = sorted(trace.s_values, key=Node.sort_key)
     return {
-        "s_values": {n.path: format_rational(trace.s_values[n]) for n in nodes},
-        "chosen": {
-            n.path: (None if trace.chosen[n] is None else trace.chosen[n].path)
-            for n in nodes
-        },
-        "ties": {n.path: [c.path for c in trace.tie_sets[n]] for n in nodes},
+        "s_values": {n.path: format_rational(s) for n, s in _node_items(trace.s_values)},
+        "chosen": {n.path: None if c is None else c.path for n, c in _node_items(trace.chosen)},
+        "ties": {n.path: [c.path for c in ties] for n, ties in _node_items(trace.tie_sets)},
     }
 
 
@@ -215,19 +219,12 @@ def equal_sums_doc(report: EqualSumsReport) -> dict:
         "holds": report.holds,
         "sigma": format_rational(report.sigma),
         "branch_sums": {
-            u.path: {
-                bottom.path: format_rational(s)
-                for bottom, s in sorted(sums.items(), key=lambda kv: kv[0].sort_key())
-            }
-            for u, sums in sorted(
-                report.branch_sums.items(), key=lambda kv: kv[0].sort_key()
-            )
+            u.path: {bottom.path: format_rational(s) for bottom, s in _node_items(sums)}
+            for u, sums in _node_items(report.branch_sums)
         },
         "sibling_balance": {
             u.path: [format_rational(a), format_rational(b)]
-            for u, (a, b) in sorted(
-                report.sibling_balance.items(), key=lambda kv: kv[0].sort_key()
-            )
+            for u, (a, b) in _node_items(report.sibling_balance)
         },
     }
 

@@ -20,7 +20,9 @@ Claims:
       document, for norm and for dot, and so does a --partition file that
       cannot be read, for consistent and for dot
     - norm reads the vector from stdin for "-" and gives the document it
-      gives for the same file
+      gives for the same file, the error document for bytes that are not
+      UTF-8 included, whatever text layer stdin has
+    - dot --partition overlays the partition file's segments
     - witness answers vanishes_on_all_norming iff |ran(x)| is within the
       oracle cap, and null past it
     - a result too long to write out in decimal exits 2 with an error
@@ -47,7 +49,9 @@ from pathlib import Path
 import pytest
 
 import jtx.cli as cli_mod
+from jtx import Node, Partition, Segment, TreeVector, jt_norm_sq
 from jtx.cli import main
+from jtx.dot import render_dot
 
 EXAMPLE = {"vector": {"": "1", "00": "1", "01": "1"}}
 SIGNED = {"vector": {"": "1", "0": "-1"}}
@@ -348,6 +352,19 @@ class TestOtherCommands:
         assert '"e" -> "0"' in text
         assert "style=dashed" in text  # the range-only node "0"
 
+    def test_dot_overlays_a_partition_file(self, vec_file, tmp_path, capsys):
+        part = tmp_path / "p.json"
+        part.write_text(json.dumps({"segments": [{"top": "", "bottom": "01"}]}))
+        target = tmp_path / "ran.gv"
+        argv = ["dot", vec_file, "--partition", str(part), "--out", str(target)]
+        code, out, _ = _run(capsys, argv)
+        assert code == 0
+        assert json.loads(out) == {"out": str(target), "nodes": 4, "segments": 1}
+        x = TreeVector.from_dict(EXAMPLE["vector"])
+        overlay = Partition.of(Segment(Node(""), Node("01")))
+        assert target.read_text() == render_dot(x, overlay)
+        assert overlay != jt_norm_sq(x).witness  # not the computed witness
+
     def test_dot_requires_out(self, vec_file, capsys):
         code, _, err = _run(capsys, ["dot", vec_file])
         assert code == 2
@@ -446,6 +463,19 @@ class TestErrors:
         error = json.loads(err)["error"]
         assert error["type"] == "InputError"
         assert error["message"].startswith("input is not UTF-8 text: 'utf-8' codec can't decode")
+
+    @pytest.mark.parametrize("encoding", ["utf-8", "latin-1"])
+    def test_non_utf8_stdin_matches_file(self, tmp_path, capsys, monkeypatch, encoding):
+        data = b'{"x": "\xff", "vector": {"": "1"}}'
+        path = tmp_path / "x.json"
+        path.write_bytes(data)
+        from_file = _run(capsys, ["norm", str(path)])
+        assert from_file[:2] == (2, "")
+        # stdin as the interpreter may open it: either text layer lets \xff through
+        errors = "surrogateescape" if encoding == "utf-8" else "strict"
+        stdin = io.TextIOWrapper(io.BytesIO(data), encoding=encoding, errors=errors)
+        monkeypatch.setattr(sys, "stdin", stdin)
+        assert _run(capsys, ["norm", "-"]) == from_file
 
     def test_nesting_past_the_recursion_limit(self, tmp_path, capsys):
         path = tmp_path / "deep.json"

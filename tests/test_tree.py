@@ -11,7 +11,8 @@ Claims:
       forests, sparse chains and full trees (hypothesis differential)
     - comparable_pairs scans exactly the strictly ordered pairs
     - node errors echo a path of ordinary length whole, and a long one
-      cut short with its length
+      cut short with its length; a path that is not a string is an
+      InputError, from Node and from parse_node
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from jtx import (
     parent_child_pairs,
     parse_node,
     segments_disjoint,
+    singleton,
 )
 from jtx.tree import range_paths
 
@@ -91,6 +93,22 @@ class TestNode:
             "node '" + "0" * 199 + "... (100002 characters) exceeds max depth 30"
         )
 
+    @pytest.mark.parametrize(
+        "path", [("0",), ["0"], 0, None, ("0",) * 100], ids=["tuple", "list", "int", "None", "long"]
+    )
+    def test_rejects_non_strings(self, path):
+        shown = repr(path)
+        if len(shown) > 200:
+            shown = f"{shown[:200]}... ({len(shown)} characters)"
+        for build in (Node, parse_node):
+            with pytest.raises(InputError) as exc:
+                build(path)
+            assert str(exc.value) == f"node path must be a string, got {shown}"
+
+    def test_repr(self):
+        assert repr(Node("01")) == "Node('01')"
+        assert repr(Node()) == "Node('')"
+
     def test_parent_child(self):
         n = Node("01")
         assert n.parent() == Node("0")
@@ -125,6 +143,12 @@ class TestSegment:
         assert Segment(Node(""), Node("00")).members() == _nodes("", "0", "00")
         assert Segment(Node(""), Node("")).members() == _nodes("")
         assert Segment(Node("01"), Node("011")).members() == _nodes("01", "011")
+
+    def test_length_and_singleton(self):
+        seg = Segment(Node("0"), Node("0110"))
+        assert len(seg) == len(seg.members()) == 4
+        assert singleton(Node("01")) == Segment(Node("01"), Node("01"))
+        assert len(singleton(Node(""))) == 1
 
     def test_invalid_endpoints(self):
         with pytest.raises(DomainError):

@@ -9,12 +9,17 @@ Claims:
       cut short with its length
     - a value holding "_" or a non-ASCII character is an InputError on
       every Python version; ASCII forms parse as before
-    - a value of another type, and a TreeVector key that is not a Node,
-      are InputErrors, which echo a long key cut short
+    - a value of another type, a TreeVector key that is not a Node and a
+      from_dict key that is neither a Node nor a string are InputErrors,
+      which echo a long key cut short
+    - sums, differences, scalings and restrictions equal the vectors the
+      validating constructor builds from the same entries, exact
+      cancellation and scaling by 0 included; equal vectors hash equal
 """
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -25,6 +30,7 @@ from jtx import (
     PositivityError,
     Segment,
     TreeVector,
+    leq,
     parse_rational,
 )
 
@@ -126,6 +132,15 @@ class TestConstruction:
             TreeVector({key: 1})
         assert str(exc.value) == f"vector keys must be Nodes, got {shown}"
 
+    @pytest.mark.parametrize("key", [1, ("0",), ("0",) * 100], ids=["int", "tuple", "long"])
+    def test_from_dict_rejects_keys_of_other_types(self, key):
+        shown = repr(key)
+        if len(shown) > 200:
+            shown = f"{shown[:200]}... ({len(shown)} characters)"
+        with pytest.raises(InputError) as exc:
+            TreeVector.from_dict({key: "1"})
+        assert str(exc.value) == f"node path must be a string, got {shown}"
+
     def test_immutability_of_transforms(self):
         y = EX.restrict([Node("")])
         assert EX.value(Node("00")) == 1
@@ -178,3 +193,38 @@ class TestRestrict:
         assert (EX - y).value(Node("0")) == Fraction(1, 2)
         assert (EX + y) - y == EX
         assert y.scale(2) == TreeVector.from_dict({"": 1, "0": -1})
+
+    def test_derived_vectors_match_the_validating_constructor(self):
+        rng = random.Random(7)
+        paths = ["", "0", "1", "00", "01", "10", "011"]
+        values = [Fraction(n, d) for n in (-2, -1, 1, 2) for d in (1, 3)]
+
+        def draw():
+            nodes = rng.sample(paths, rng.randint(0, 5))
+            return TreeVector({Node(p): rng.choice(values) for p in nodes})
+
+        for _ in range(300):
+            x, y = draw(), draw()
+            nodes = x.support() | y.support()
+            c = rng.choice([0, -1, Fraction(1, 2), *values])
+            a = Node(rng.choice(paths))
+            cases = [
+                (x + y, {n: x.value(n) + y.value(n) for n in nodes}),
+                (x - y, {n: x.value(n) - y.value(n) for n in nodes}),
+                (x - x, {}),
+                (x + x.scale(-1), {}),
+                (x.scale(c), {n: v * c for n, v in x.items()}),
+                (x.scale(0), {}),
+                (x.restrict(y.support()), {n: v for n, v in x.items() if n in y.support()}),
+                (x.wedge(a), {n: v for n, v in x.items() if leq(a, n)}),
+            ]
+            for derived, expected in cases:
+                assert derived._entries == TreeVector(expected)._entries
+                assert all(type(v) is Fraction and v != 0 for v in derived._entries.values())
+
+    def test_equality_and_hash(self):
+        same = TreeVector.from_dict({"01": "1", "00": 1, "": "2/2", "1": 0})
+        assert same == EX and hash(same) == hash(EX)
+        assert len({EX, same, EX.scale(2)}) == 2
+        assert EX.__eq__({"": 1, "00": 1, "01": 1}) is NotImplemented
+        assert EX != {"": 1, "00": 1, "01": 1} and EX != 0
