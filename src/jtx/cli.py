@@ -215,7 +215,7 @@ def _run(args: argparse.Namespace) -> dict:
         return {
             "all_isolatable": every,
             "l2_match": l2_match,
-            "nodes": {n.path: ok for n, ok in sorted(per_node.items(), key=lambda kv: kv[0].sort_key())},
+            "nodes": {n.path: ok for n, ok in per_node.items()},  # filled in canonical order
         }
 
     if args.command == "witness":

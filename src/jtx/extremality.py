@@ -8,8 +8,16 @@ segment through u avoids u's child toward v also keeps v out.
 
 At finite support, separated is equivalent to being an extreme point of
 the ball of the vector's own norm radius. Non-separated vectors get an
-explicit perturbation witness y with ||x+y|| = ||x-y|| = ||x|| verified
-by exact recomputation, never by a sufficient bound.
+explicit perturbation witness y = eps (e_u - e_v) on a blocked
+parent-child pair (u, v) with ||x+y|| = ||x-y|| = ||x||, checked exactly,
+never by a sufficient bound. With squared norm N, a partition that keeps
+u and v in one segment scores the same on x +- y as on x, where y sums
+to zero on that segment, and the best of them scores N as the gap is
+positive. So ||x +- y||^2 = max(N, C+-), where C+- is the best score on
+x +- y of the partitions that cut the edge (u, v), read from the
+solver's cached tables and contexts (NormSolver._keeps_norm): eps works
+iff C+ <= N and C- <= N. The tests and the benchmark's correctness gate
+still recompute ||x +- y|| with fresh solves.
 """
 
 from __future__ import annotations
@@ -99,12 +107,15 @@ def perturbation_witness(x: TreeVector, u: Node, v: Node) -> tuple[TreeVector, F
 
     Requires v to be a child of u and the pair to be inseparable. The
     scale starts at 1 and halves until the exact perturbed norms match.
-    With gap g and squared norm N, every eps <= g / (2 sqrt(2N)) works:
-    the norming partitions keep u and v in one segment, where y sums to
-    zero, and every partition that splits them scores at most N - g on
-    x and at most 2 eps^2 on y, while each sqrt(q_P) is a seminorm. So
-    the halving stops by the least k with g^2 * 4^k >= 8N, and a failure
-    there is an internal error.
+    Each scale is checked exactly through max(N, C+-) on the cached cut
+    tables (see the module docstring); the tests recompute both norms
+    with fresh solves. With gap g and squared norm N, every
+    eps <= g / (2 sqrt(2N)) works: the norming partitions keep u and v
+    in one segment, where y sums to zero, and every partition that
+    splits them scores at most N - g on x and at most 2 eps^2 on y,
+    while each sqrt(q_P) is a seminorm. So the halving stops by the
+    least k with g^2 * 4^k >= 8N, and a failure there is an internal
+    error.
     """
     return _perturbation(NormSolver(x), u, v)
 
@@ -117,18 +128,12 @@ def _perturbation(solver: NormSolver, u: Node, v: Node) -> tuple[TreeVector, Fra
         raise DomainError(
             f"pair ({u.path!r}, {v.path!r}) is separable; no witness exists"
         )
-    x = solver.x
-    base = solver.norm_sq()
+    keeps = solver._keeps_norm(u.path, v.path)
     eps = Fraction(1)
-    direction = TreeVector.unit(u) - TreeVector.unit(v)
-    k_max = _halving_bound(g, base)
+    k_max = _halving_bound(g, solver.norm_sq())
     for _ in range(k_max + 1):
-        y = direction.scale(eps)
-        if (
-            NormSolver(x + y).norm_sq() == base
-            and NormSolver(x - y).norm_sq() == base
-        ):
-            return y, eps
+        if keeps(eps.denominator):
+            return (TreeVector.unit(u) - TreeVector.unit(v)).scale(eps), eps
         eps /= 2
     raise InternalError(
         f"no perturbation scale found in {k_max} halvings despite a positive gap"

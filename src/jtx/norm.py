@@ -50,6 +50,9 @@ cuts like the edge above the skeleton node below it. A partition
 separates comparable u < v iff it cuts an edge between them, so
 gap(u, v) is the least parent-child gap on that path. A forced segment,
 a node isolation included, cuts the edges above and below it alike.
+The two sides of one cut edge also score it after its two ends move
+by opposite amounts (_keeps_norm), which decides a perturbation scale
+for extremality.py without a solve.
 
 The constrained DP serves only the public solve(constraints) and
 norm_sq(constraints). It splices the pair endpoints and forced tops and
@@ -479,10 +482,7 @@ class NormSolver:
         """v's context from the context of p = up(v) and one visit of p without v.
 
         A segment open through p, with sum s and score, finishes above p
-        with any (t, rest) of above(p) as score + rest + (s + t)^2. A
-        segment crossing the edge above v holds p, so it starts at p
-        (when p is in the support) or runs on above p; either way the
-        siblings of v close.
+        with any (t, rest) of above(p) as score + rest + (s + t)^2.
         """
         outside_p, above_p = parent_context
         p = self._skel.up[v]
@@ -496,13 +496,85 @@ class NormSolver:
                     outside = cand
         if not self._skel.kids[v]:
             return outside, {}
+        return outside, self._above(p, closed_siblings, parent_context)
+
+    def _above(
+        self, p: str, closed_siblings: int, parent_context: tuple[int, dict[int, int]]
+    ) -> dict[int, int]:
+        """above(v) for a skeleton child v of p, from p's context and the
+        closed best of p's other kids. A segment crossing the edge above
+        v holds p, so it starts at p (when p is in the support) or runs
+        on above p; either way the siblings of v close."""
+        outside_p, above_p = parent_context
         xv = self.val.get(p, 0)
         above = {xv: closed_siblings + outside_p} if p in self.supp else {}
         for t, rest in above_p.items():
             cand = closed_siblings + rest
             if cand > above.get(xv + t, -1):
                 above[xv + t] = cand
-        return outside, above
+        return above
+
+    def _keeps_norm(self, u: str, v: str):
+        """keeps(m) for a range node u and its child v with gap(u, v) > 0:
+        whether y = (e_u - e_v) / m keeps ||x + y||^2 and ||x - y||^2 at
+        the squared norm N.
+
+        A partition that keeps u and v in one segment scores on x +- y
+        as on x, as y sums to 0 there, and the best of them scores N, as
+        the gap is positive. So ||x +- y||^2 = max(N, C+-), where C+- is
+        the best score of the partitions that cut the edge (u, v):
+        closed'(v) + outside'(v), with x(u) and x(v) moved. keeps(m)
+        works at scale den m: sums scale by m, scores by m^2, and the
+        move is den.
+
+        Each side is a table {open sum: best score}; the moved node may
+        start or close the segment through it, as a node outside the
+        support may too, which only adds partitions that score as their
+        trimmed ones. Below: v's table, or, for v on a stretch, one
+        visit of v over d = _kept_below(v). Above: the open sums of u
+        without d against u's context, or, for u on the stretch above
+        d, u alone against d's context. A skeleton leaf keeps no
+        above(d), so it is rebuilt from up(d)'s context, as _descend
+        would. Both tables are built once; each keeps(m) is linear in
+        them.
+        """
+        tables, kids = self._tables, self._skel.kids
+
+        def open_sums(p: str, table: _Table) -> dict[int, int]:  # masks dropped, start at p
+            sums = {self.val.get(p, 0): table[0]}
+            for (s, _), sc in table[1].items():
+                if sc > sums.get(s, -1):
+                    sums[s] = sc
+            return sums
+
+        d = self._kept_below(v)
+        lower = open_sums(v, tables[v] if v == d else self._visit(v, [d], tables, _NO_SEP))
+        if u in tables:
+            outside, above = self._context(u)
+            ends = open_sums(u, self._visit(u, [c for c in kids[u] if c != d], tables, _NO_SEP))
+        else:
+            outside, above = self._context(d)
+            if not kids[d]:
+                p = self._skel.up[d]
+                closed_siblings = sum(tables[c][2] for c in kids[p] if c != d)
+                above = self._above(p, closed_siblings, self._context(p))
+            ends = {0: 0}
+        upper: dict[int, int] = {}
+        for s, sc in ends.items():
+            for t, rest in [(0, outside), *above.items()]:
+                if sc + rest > upper.get(s + t, -1):
+                    upper[s + t] = sc + rest
+
+        def keeps(m: int) -> bool:
+            mm, den = m * m, self.den
+            for move in (den, -den):
+                cut = max(sc * mm + (s * m - move) ** 2 for s, sc in lower.items())
+                cut += max(sc * mm + (s * m + move) ** 2 for s, sc in upper.items())
+                if cut > self._total * mm:
+                    return False
+            return True
+
+        return keeps
 
     # -- the dynamic program ----------------------------------------------
 

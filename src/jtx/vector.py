@@ -169,7 +169,10 @@ class TreeVector:
         return TreeVector._of(merged)
 
     def __sub__(self, other: TreeVector) -> TreeVector:
-        return self + other.scale(-1)
+        merged = dict(self._entries)
+        for node, v in other._entries.items():
+            merged[node] = merged.get(node, Fraction(0)) - v
+        return TreeVector._of(merged)
 
     def scale(self, c: RationalLike) -> TreeVector:
         factor = parse_rational(c)

@@ -27,8 +27,8 @@ Claims:
       oracle cap, and null past it
     - a result too long to write out in decimal exits 2 with an error
       document, and extreme and witness find scales below 2^-64
-    - isolatable builds one solver per command, and witness one solver on
-      the input vector
+    - isolatable builds one solver per command and lists its nodes in
+      canonical order, and witness builds one solver, on the input vector
     - the CLI example in README.md shows the exact output bytes
     - the argument parser is built once per process; an argparse error or
       --help between calls, or the golden commands run in reverse order,
@@ -41,6 +41,7 @@ import argparse
 import io
 import json
 import os
+import random
 import shlex
 import subprocess
 import sys
@@ -49,9 +50,10 @@ from pathlib import Path
 import pytest
 
 import jtx.cli as cli_mod
-from jtx import Node, Partition, Segment, TreeVector, jt_norm_sq
+from jtx import Node, NormSolver, Partition, Segment, TreeVector, jt_norm_sq
 from jtx.cli import main
 from jtx.dot import render_dot
+from jtx.extremality import _isolation_report
 
 EXAMPLE = {"vector": {"": "1", "00": "1", "01": "1"}}
 SIGNED = {"vector": {"": "1", "0": "-1"}}
@@ -291,6 +293,21 @@ class TestOtherCommands:
         assert doc["l2_match"] is False
         assert doc["nodes"] == {"": False, "00": True, "01": True}
 
+    def test_isolatable_nodes_come_in_canonical_order(self, tmp_path, capsys):
+        """The report fills per-node flags in canonical order (depth, then
+        bits), and the document keeps that order without a sort."""
+        rng = random.Random(40)
+        grid = [format(i, f"0{d}b") if d else "" for d in range(5) for i in range(2**d)]
+        path = tmp_path / "x.json"
+        for _ in range(60):
+            paths = rng.sample(grid, rng.randint(1, 9))
+            vector = {p: rng.choice(["-2", "-1", "1", "3"]) for p in paths}
+            per_node = _isolation_report(NormSolver(TreeVector.from_dict(vector)))[0]
+            assert list(per_node) == sorted(map(Node, paths), key=Node.sort_key)
+            path.write_text(json.dumps({"vector": vector}))
+            _, out, _ = _run(capsys, ["isolatable", str(path)])
+            assert list(json.loads(out)["nodes"]) == sorted(paths, key=lambda p: (len(p), p))
+
     def test_isolatable_builds_one_solver(self, vec_file, capsys, monkeypatch):
         from jtx.norm import NormSolver
 
@@ -323,8 +340,8 @@ class TestOtherCommands:
         assert code == 0
         assert json.loads(out)["norm_sq"] == "5"
         x = TreeVector.from_dict(EXAMPLE["vector"])
-        assert built.count(x) == 1  # every other solver checks x + y or x - y
-        assert len(built) == 4
+        assert built.count(x) == 1
+        assert len(built) == 1  # each halving is checked on x's cached tables, not on x + y or x - y
 
     def test_witness(self, vec_file, capsys):
         _, out, _ = _run(capsys, ["witness", vec_file, "--u", "", "--v", "0"])

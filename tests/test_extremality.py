@@ -9,6 +9,11 @@ Claims:
       sums vanish on every norming partition; the scale 2^-k at the
       least k with g^2 * 4^k >= 8N always works, so the halving reaches
       scales past 2^-64 when the gap is that small
+    - each halving is checked on the cached cut tables and returns the
+      (y, eps) of fresh solves of x + y and x - y (hypothesis and seeded
+      differentials that meet u or v on a stretch, v a skeleton leaf
+      below a stretch, u a component root and a perturbed entry of 0,
+      at scales 2^-70 and 2^-200 too); certify_extreme builds one solver
     - l2 equality forces separation and extremality; on single branches
       and incomparable-segment supports the converse holds too
     - isolation of every support node forces l2 equality
@@ -57,7 +62,7 @@ from jtx import (
     vanishes_on_all_norming,
 )
 from jtx.extremality import _descent_sums, _halving_bound
-from jtx.tree import range_paths
+from jtx.tree import parent_child_pairs, range_paths
 
 EX = TreeVector.from_dict({"": 1, "00": 1, "01": 1})
 TRIPOD = TreeVector.from_dict({"": 1, "0": 1, "1": 1})
@@ -178,6 +183,95 @@ class TestPerturbationWitness:
         assert seen >= 20
 
 
+def _fresh_solve_witness(x: TreeVector, u: Node, v: Node) -> tuple[TreeVector, Fraction]:
+    """The halving as it was before the cut check, kept as the reference:
+    each eps is accepted iff fresh solves of x + y and x - y keep the norm."""
+    solver = NormSolver(x)
+    g, base = solver.gap(u, v), solver.norm_sq()
+    eps, direction = Fraction(1), TreeVector.unit(u) - TreeVector.unit(v)
+    for _ in range(_halving_bound(g, base) + 1):
+        y = direction.scale(eps)
+        if NormSolver(x + y).norm_sq() == base and NormSolver(x - y).norm_sq() == base:
+            return y, eps
+        eps /= 2
+    raise AssertionError("the proven scale failed")
+
+
+def _blocked_pairs(x: TreeVector) -> list[tuple[Node, Node]]:
+    solver = NormSolver(x)
+    return [(u, v) for u, v in parent_child_pairs(x.range()) if solver.gap(u, v) > 0]
+
+
+@st.composite
+def signed_sparse(draw) -> TreeVector:
+    """Signed values on forests, sparse chains to depth 30 and full trees,
+    so range nodes off the support sit on stretches and at branches."""
+    paths = draw(support_paths(max_chain=30))
+    den = draw(st.integers(1, 4))
+    value = st.integers(-3, 3).filter(bool).map(lambda k: Fraction(k, den))
+    return TreeVector.from_dict({p: draw(value) for p in paths}, max_depth=30)
+
+
+# u = "0" and v = "01" lie on the stretch above the skeleton leaf "011",
+# whose context keeps no above("011"): eps = 1 passes unless it is rebuilt.
+LEAF_BELOW_STRETCH = TreeVector.from_dict({"": 2, "011": 1})
+
+
+class TestCutCheckDifferential:
+    """The cut check returns the (y, eps) of the fresh-solve halving."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(signed_sparse())
+    @example(EX)
+    @example(LEAF_BELOW_STRETCH)
+    @example(TINY_CHILD)
+    @example(TreeVector.from_dict({"": 1, "0": Fraction(-1, 2**200)}))
+    @example(TreeVector.from_dict({"": "1/2", "0": 1, "01": -1, "1": 1}))
+    def test_matches_fresh_solves(self, x):
+        for u, v in _blocked_pairs(x):
+            assert perturbation_witness(x, u, v) == _fresh_solve_witness(x, u, v)
+
+    def test_leaf_below_a_stretch(self):
+        assert perturbation_witness(LEAF_BELOW_STRETCH, Node("0"), Node("01"))[1] == Fraction(1, 2)
+        for u, v in _blocked_pairs(LEAF_BELOW_STRETCH):
+            assert perturbation_witness(LEAF_BELOW_STRETCH, u, v) == _fresh_solve_witness(
+                LEAF_BELOW_STRETCH, u, v
+            )
+
+    @pytest.mark.parametrize("k", [70, 200])
+    def test_scales_past_64_halvings(self, k):
+        x = TreeVector.from_dict({"": 1, "0": Fraction(1, 2**k)})
+        expected = _fresh_solve_witness(x, Node(""), Node("0"))
+        assert expected[1] == Fraction(1, 2**k)
+        assert perturbation_witness(x, Node(""), Node("0")) == expected
+
+    def test_every_case_is_met(self):
+        """On a seeded corpus of signed vectors every blocked pair agrees,
+        and each case of the cut check is met: u or v on a stretch, v a
+        skeleton leaf (below u on a stretch too), u a component root, and
+        a perturbed entry x(u) + eps or x(v) + eps of 0."""
+        rng = random.Random(18)
+        seen = dict.fromkeys(
+            ["u stretch", "v stretch", "v leaf", "v leaf, u stretch", "u root", "u zeroed", "v zeroed"],
+            0,
+        )
+        for _ in range(150):
+            x = random_signed(rng, max_depth=5, max_ran=24, density=rng.choice([0.15, 0.3]))
+            skel = NormSolver(x)._skel
+            for u, v in _blocked_pairs(x):
+                y, eps = perturbation_witness(x, u, v)
+                assert (y, eps) == _fresh_solve_witness(x, u, v)
+                leaf = v.path in skel.kids and not skel.kids[v.path]
+                seen["u stretch"] += u.path not in skel.kids
+                seen["v stretch"] += v.path not in skel.kids
+                seen["v leaf"] += leaf
+                seen["v leaf, u stretch"] += leaf and u.path not in skel.kids
+                seen["u root"] += u.path in skel.roots
+                seen["u zeroed"] += abs(x.value(u)) == eps
+                seen["v zeroed"] += abs(x.value(v)) == eps
+        assert min(seen.values()) >= 50, seen
+
+
 class TestCertifyExtreme:
     def test_worked_example_not_extreme(self):
         cert = certify_extreme(EX)
@@ -188,6 +282,19 @@ class TestCertifyExtreme:
         base = cert.norm_sq
         assert jt_norm_sq(EX + cert.witness_y).norm_sq == base
         assert jt_norm_sq(EX - cert.witness_y).norm_sq == base
+
+    def test_builds_one_solver_on_a_non_extreme_vector(self, monkeypatch):
+        built = []
+        init = NormSolver.__init__
+
+        def counting_init(self, x):
+            built.append(x)
+            init(self, x)
+
+        monkeypatch.setattr(NormSolver, "__init__", counting_init)
+        cert = certify_extreme(TINY_CHILD)
+        assert cert.verdict == "not-extreme" and cert.epsilon == Fraction(1, 2**70)
+        assert built == [TINY_CHILD]  # 71 halvings, each checked on the cut tables
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_full_trees_extreme(self, n):

@@ -15,6 +15,7 @@ Claims:
     - sums, differences, scalings and restrictions equal the vectors the
       validating constructor builds from the same entries, exact
       cancellation and scaling by 0 included; equal vectors hash equal
+    - x - y equals x + y.scale(-1), entries that cancel to 0 dropped
 """
 
 from __future__ import annotations
@@ -221,6 +222,24 @@ class TestRestrict:
             for derived, expected in cases:
                 assert derived._entries == TreeVector(expected)._entries
                 assert all(type(v) is Fraction and v != 0 for v in derived._entries.values())
+
+    def test_difference_adds_the_negation(self):
+        """x - y, one pass over y, equals x + y.scale(-1); y shares some of
+        x's entries, so some differences cancel to 0 and drop out."""
+        rng = random.Random(39)
+        paths = ["", "0", "1", "00", "01", "10", "011"]
+        values = [Fraction(n, d) for n in (-2, -1, 1, 2) for d in (1, 3)]
+        cancelled = 0
+        for _ in range(300):
+            x = TreeVector({Node(p): rng.choice(values) for p in rng.sample(paths, rng.randint(0, 5))})
+            shared = {n: v for n, v in x._entries.items() if rng.random() < 0.5}
+            y = TreeVector({**{Node(p): rng.choice(values) for p in rng.sample(paths, 2)}, **shared})
+            diff = x - y
+            assert diff == x + y.scale(-1)
+            assert diff._entries == (x + y.scale(-1))._entries
+            assert (x - x).is_zero()
+            cancelled += any(n not in diff.support() for n in shared)
+        assert cancelled >= 100
 
     def test_equality_and_hash(self):
         same = TreeVector.from_dict({"01": "1", "00": 1, "": "2/2", "1": 0})
