@@ -38,7 +38,7 @@ from typing import IO, Iterator
 
 from . import dot as dot_mod
 from . import wire
-from .errors import CapError, InputError, InternalError, JtxError
+from .errors import CapError, InputError, InternalError, JtxError, _shown
 from .extremality import (
     _isolation_report,
     _perturbation,
@@ -140,9 +140,9 @@ def _resolve_cap(args: argparse.Namespace) -> int:
         try:
             cap, source = int(env), "JTX_ORACLE_CAP"
         except ValueError:
-            raise InputError(f"JTX_ORACLE_CAP must be an integer, got {env!r}") from None
+            raise InputError(f"JTX_ORACLE_CAP must be an integer, got {_shown(repr(env))}") from None
     if cap < 0:
-        raise InputError(f"{source} must be at least 0, got {cap}")
+        raise InputError(f"{source} must be at least 0, got {_shown(str(cap))}")
     return cap
 
 

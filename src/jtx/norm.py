@@ -462,8 +462,6 @@ class NormSolver:
         it; that segment's square is not counted yet. Contexts fill top
         down from the nearest memoised ancestor, or from the component
         root, whose context is the other components' bests and {}.
-        Only the contexts of v's kids read above(v), so a skeleton leaf
-        keeps it empty.
         """
         contexts, up = self._contexts, self._skel.up
         path, w = [], v
@@ -482,7 +480,10 @@ class NormSolver:
         """v's context from the context of p = up(v) and one visit of p without v.
 
         A segment open through p, with sum s and score, finishes above p
-        with any (t, rest) of above(p) as score + rest + (s + t)^2.
+        with any (t, rest) of above(p) as score + rest + (s + t)^2. A
+        segment crossing the edge above v holds p, so it starts at p
+        (when p is in the support) or runs on above p; either way the
+        siblings of v close.
         """
         outside_p, above_p = parent_context
         p = self._skel.up[v]
@@ -494,25 +495,13 @@ class NormSolver:
                 cand = sc + rest + (s + t) * (s + t)
                 if cand > outside:
                     outside = cand
-        if not self._skel.kids[v]:
-            return outside, {}
-        return outside, self._above(p, closed_siblings, parent_context)
-
-    def _above(
-        self, p: str, closed_siblings: int, parent_context: tuple[int, dict[int, int]]
-    ) -> dict[int, int]:
-        """above(v) for a skeleton child v of p, from p's context and the
-        closed best of p's other kids. A segment crossing the edge above
-        v holds p, so it starts at p (when p is in the support) or runs
-        on above p; either way the siblings of v close."""
-        outside_p, above_p = parent_context
         xv = self.val.get(p, 0)
         above = {xv: closed_siblings + outside_p} if p in self.supp else {}
         for t, rest in above_p.items():
             cand = closed_siblings + rest
             if cand > above.get(xv + t, -1):
                 above[xv + t] = cand
-        return above
+        return outside, above
 
     def _keeps_norm(self, u: str, v: str):
         """keeps(m) for a range node u and its child v with gap(u, v) > 0:
@@ -533,10 +522,8 @@ class NormSolver:
         trimmed ones. Below: v's table, or, for v on a stretch, one
         visit of v over d = _kept_below(v). Above: the open sums of u
         without d against u's context, or, for u on the stretch above
-        d, u alone against d's context. A skeleton leaf keeps no
-        above(d), so it is rebuilt from up(d)'s context, as _descend
-        would. Both tables are built once; each keeps(m) is linear in
-        them.
+        d, u alone against d's context. Both tables are built once; each
+        keeps(m) is linear in them.
         """
         tables, kids = self._tables, self._skel.kids
 
@@ -549,16 +536,8 @@ class NormSolver:
 
         d = self._kept_below(v)
         lower = open_sums(v, tables[v] if v == d else self._visit(v, [d], tables, _NO_SEP))
-        if u in tables:
-            outside, above = self._context(u)
-            ends = open_sums(u, self._visit(u, [c for c in kids[u] if c != d], tables, _NO_SEP))
-        else:
-            outside, above = self._context(d)
-            if not kids[d]:
-                p = self._skel.up[d]
-                closed_siblings = sum(tables[c][2] for c in kids[p] if c != d)
-                above = self._above(p, closed_siblings, self._context(p))
-            ends = {0: 0}
+        outside, above = self._context(u if u in tables else d)
+        ends = open_sums(u, self._visit(u, [c for c in kids.get(u, ()) if c != d], tables, _NO_SEP))
         upper: dict[int, int] = {}
         for s, sc in ends.items():
             for t, rest in [(0, outside), *above.items()]:

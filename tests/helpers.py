@@ -40,6 +40,10 @@ def support_paths(draw, max_chain: int = 12) -> list[str]:
     return grid(draw(st.integers(2, 5)))
 
 
+# A generator whose bounds no draw meets gives up after this many draws.
+MAX_DRAWS = 10_000
+
+
 def random_signed(
     rng: random.Random,
     max_depth: int = 4,
@@ -48,9 +52,12 @@ def random_signed(
     max_abs: int = 3,
     max_den: int = 4,
 ) -> TreeVector:
-    """Random signed vector with |ran(x)| bounded; entries k/q, k nonzero."""
+    """Random signed vector with |ran(x)| bounded; entries k/q, k nonzero.
+
+    Raises ValueError when none of MAX_DRAWS draws meets the bound.
+    """
     choices = [k for k in range(-max_abs, max_abs + 1) if k != 0]
-    while True:
+    for _ in range(MAX_DRAWS):
         support = [p for p in grid(max_depth) if rng.random() < density]
         if not support:
             continue
@@ -58,6 +65,10 @@ def random_signed(
         x = TreeVector.from_dict({p: Fraction(rng.choice(choices), q) for p in support})
         if len(x.range()) <= max_ran:
             return x
+    raise ValueError(
+        f"no random_signed draw in {MAX_DRAWS} met max_ran={max_ran} "
+        f"(max_depth={max_depth}, density={density})"
+    )
 
 
 def random_positive(
@@ -86,8 +97,11 @@ MIXED_DENOMINATORS = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12)
 def random_mixed(
     rng: random.Random, max_depth: int = 4, max_ran: int = 11, signed: bool = False
 ) -> TreeVector:
-    """Random vector with |ran(x)| bounded whose entries each draw a denominator."""
-    while True:
+    """Random vector with |ran(x)| bounded whose entries each draw a denominator.
+
+    Raises ValueError when none of MAX_DRAWS draws meets the bound.
+    """
+    for _ in range(MAX_DRAWS):
         support = [p for p in grid(rng.randint(1, max_depth)) if rng.random() < 0.5]
         x = TreeVector.from_dict(
             {
@@ -100,6 +114,9 @@ def random_mixed(
         )
         if support and len(x.range()) <= max_ran:
             return x
+    raise ValueError(
+        f"no random_mixed draw in {MAX_DRAWS} met max_ran={max_ran} (max_depth={max_depth})"
+    )
 
 
 def level_symmetric(rng: random.Random, max_depth: int = 3) -> TreeVector:

@@ -6,7 +6,8 @@ Claims:
     - exit codes: 0 ok, 2 parse, 3 precondition, 4 cap, 5 internal
     - JTX_ORACLE_CAP and --oracle-cap control the enumeration cap; a cap
       below 0 (or a non-integer JTX_ORACLE_CAP) exits 2 in the commands
-      that read it and is ignored by the others
+      that read it and is ignored by the others; its error echoes a long
+      cap cut short, from the flag and from the environment alike
     - --digits accepts 0..1000 and vector values reject exponent forms,
       "_" and non-ASCII characters, each with exit 2, as do a key repeated
       in a vector or partition file, a partition segment end that is not
@@ -559,6 +560,22 @@ class TestErrors:
         assert code == 2 and out == ""
         error = json.loads(err)["error"]
         assert error == {"type": "InputError", "message": "JTX_ORACLE_CAP must be at least 0, got -1"}
+
+    @pytest.mark.parametrize("env, flag", [
+        ("x" * 5000, []),
+        ("-" + "1" * 4000, []),
+        (None, ["--oracle-cap", "-" + "1" * 4000]),
+    ], ids=["env-literal", "env-negative", "flag-negative"])
+    def test_long_cap_leaves_a_short_error(self, vec_file, capsys, monkeypatch, env, flag):
+        if env is None:
+            monkeypatch.delenv("JTX_ORACLE_CAP", raising=False)
+        else:
+            monkeypatch.setenv("JTX_ORACLE_CAP", env)
+        code, out, err = _run(capsys, ["norm", vec_file, "--oracle", *flag])
+        assert (code, out) == (2, "")
+        error = json.loads(err)["error"]
+        assert error["type"] == "InputError" and len(error["message"]) < 1000
+        assert error["message"].endswith(" characters)")
 
     @pytest.mark.parametrize("env", ["-1", "abc"])
     def test_bad_cap_ignored_where_unread(self, vec_file, capsys, monkeypatch, env):

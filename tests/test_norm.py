@@ -49,8 +49,10 @@ Claims:
       three tops to every range node, whatever order the queries come in;
       a full separation scan makes one visit per skeleton node for the
       solve plus one per skeleton edge for the contexts
-    - after a full separation scan every skeleton leaf has a memoised
-      context whose above(v) is empty
+    - every skeleton node below a root, leaves included, recomposes the
+      squared norm from its table and its context: N is the best of
+      closed(v) + outside(v) and of an open entry of v's table finished
+      by an entry of above(v)
     - the solver builds ran(x) only when a query reads it: building,
       solve() and norm_sq() never call range_paths, the skeleton equals
       the support plus the range nodes with two range children, and
@@ -105,7 +107,6 @@ from jtx import (
     score,
     segments_disjoint,
 )
-from jtx.extremality import _separation_scan
 from jtx.norm import _NO_SEP
 from jtx.tree import range_paths
 from jtx.wire import norm_result_doc
@@ -1352,18 +1353,25 @@ def _signed_full_tree(depth: int, seed: int) -> TreeVector:
     return TreeVector.from_dict({p: rng.choice([-3, -2, -1, 1, 2, 3]) for p in grid(depth)})
 
 
-@pytest.mark.parametrize("x", [
-    TreeVector.from_dict({p: 1 for p in grid(6)}),
-    _signed_full_tree(5, 9),
-], ids=["x6", "signed-depth-5"])
-def test_leaf_contexts_keep_no_above(x):
-    """Only the contexts of v's kids read above(v), so a leaf's stays empty."""
+@_DIFF
+@given(signed_vectors())
+@example(TreeVector.from_dict({p: 1 for p in grid(6)}))
+@example(_signed_full_tree(5, 9))
+def test_every_context_recomposes_the_norm(x):
+    """N at every skeleton node v below a root: the best partition cuts
+    the edge above v, or runs one segment across it, which gathers s
+    below v (an open entry of v's table) and t above it (an entry of
+    above(v))."""
     solver = NormSolver(x)
-    _separation_scan(solver, all_pairs=False, stop_on_blocked=False)
-    leaves = [v for v in solver._skel.order if not solver._skel.kids[v]]
-    assert len(leaves) == 2 ** (len(max(leaves, key=len)))
-    for v in leaves:
-        assert solver._contexts[v][1] == {}
+    for v in solver._skel.up:
+        outside, above = solver._context(v)
+        _, opens, closed, _ = solver._tables[v]
+        crossing = [
+            sc + rest + (s + t) * (s + t)
+            for (s, _), sc in opens.items()
+            for t, rest in above.items()
+        ]
+        assert solver._total == max([closed + outside, *crossing])
 
 
 # -- the range is built only by the queries that read it ---------------------
