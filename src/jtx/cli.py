@@ -5,7 +5,9 @@ JSON document to stdout (or --out). Exit codes: 0 success, 2 input
 error (malformed input, an input file that cannot be read or an --out
 path that cannot be written), 3 precondition violation, 4 oracle cap
 exceeded, 5 internal invariant failure. Every error writes one error
-document to stderr, which echoes a long value or node key cut short.
+document to stderr, except a bad flag, which gets argparse's plain-text
+usage message and exit 2. Both echo a long value, node key, flag value
+or file path cut short.
 JTX_ORACLE_CAP overrides the default oracle cap; the --oracle-cap flag
 overrides both.
 
@@ -60,6 +62,14 @@ from .tree import parse_node
 from .vector import format_rational
 
 
+def _int_flag(text: str) -> int:
+    """An integer flag's value; argparse's message for a bad one, echoing it cut short."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {_shown(repr(text))}") from None
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -75,14 +85,14 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="write the output document here instead of stdout")
         p.add_argument(
             "--digits",
-            type=int,
+            type=_int_flag,
             default=wire.DEFAULT_DIGITS,
             help="fractional digits for decimal norm renderings (0 to %d)"
             % wire.MAX_DIGITS,
         )
         p.add_argument(
             "--oracle-cap",
-            type=int,
+            type=_int_flag,
             default=None,
             help="max |ran(x)| for exhaustive enumeration (default from "
             "JTX_ORACLE_CAP or %d)" % ORACLE_NODE_CAP,
@@ -127,7 +137,8 @@ def _user_file(path: str, mode: str = "r") -> Iterator[IO[str]]:
         with open(path, mode, encoding="utf-8") as fh:
             yield fh
     except OSError as exc:
-        raise InputError(f"cannot {'write' if mode == 'w' else 'read'} {path}: {exc}") from None
+        verb = "write" if mode == "w" else "read"
+        raise InputError(f"cannot {verb} {_shown(path)}: {_shown(str(exc))}") from None
 
 
 def _resolve_cap(args: argparse.Namespace) -> int:

@@ -39,6 +39,10 @@ Pair = tuple[Node, Node]
 
 @dataclass
 class SeparationReport:
+    """The gap of each scanned pair, with pairs in canonical order (of u,
+    then of v); first_blocked_pair is the first parent-child pair in that
+    order with a positive gap."""
+
     separated: bool
     pair_gaps: dict[Pair, Fraction]
     first_blocked_pair: Optional[Pair]
@@ -57,6 +61,9 @@ class ExtremeCertificate:
 
 @dataclass
 class EqualSumsReport:
+    """Branch sums and sibling balances per support node; every map, the
+    inner ones too, is keyed in canonical order."""
+
     holds: bool
     branch_sums: dict[Node, dict[Node, Fraction]]
     sibling_balance: dict[Node, tuple[Fraction, Fraction]]
@@ -217,16 +224,18 @@ def _descent_sums(x: TreeVector) -> dict[str, dict[str, Fraction]]:
     """Branch sums below every support node.
 
     Returns, for each support node p, a map from the last node of a
-    descending chain to the sum of x along it. A chain either ends where
-    no support remains below, or exits through a support-free sibling
-    wedge one step past the populated region; both variants stand in for
-    the infinite branches they represent, whose sums they equal.
+    descending chain to the sum of x along it, in canonical order of the
+    last nodes. A chain either ends where no support remains below, or
+    exits through a support-free sibling wedge one step past the
+    populated region; both variants stand in for the infinite branches
+    they represent, whose sums they equal.
 
     The branch ends are the leaves of ran(x), which lie in the support,
     and the exits: the child outside ran(x) of a range node with one
-    child in it. Linked with the support into one forest, each end
-    climbs its support ancestors once and adds the growing sum to the
-    map of each, so the cost is linear in the range plus the output.
+    child in it. Linked with the support into one forest, each end in
+    canonical order climbs its support ancestors once and adds the
+    growing sum to the map of each, so past sorting the ends the cost is
+    linear in the range plus the output.
     """
     values = {n.path: v for n, v in x.items()}
     ran = range_paths(values)
@@ -238,9 +247,7 @@ def _descent_sums(x: TreeVector) -> dict[str, dict[str, Fraction]]:
     forest = _forest(sorted([*values, *exits]))
     up = forest.up
     sums: dict[str, dict[str, Fraction]] = {p: {} for p in values}
-    for end in forest.order:
-        if forest.kids[end]:
-            continue
+    for end in sorted((p for p in forest.order if not forest.kids[p]), key=len):
         p = end if end in values else up[end]  # an exit carries 0
         total = sums[p][end] = values[p]
         while p in up:

@@ -101,7 +101,7 @@ class SupportTree:
 
 @dataclass
 class GreedyTrace:
-    """Per-node record of the greedy run.
+    """Per-node record of the greedy run, every map keyed in canonical order.
 
     s_values holds the maximal downward segment sum at every support
     node; tie_sets holds all heaviest children, so a consistency check
@@ -153,26 +153,27 @@ def greedy_partition(
     st = SupportTree(x)
     kids, s, node = st._forest.kids, st._s, st._node
     trace = GreedyTrace()
+    # phase 1: each support node, in canonical order, records its heaviest children
+    # and picks one of them
+    pick: dict[str, str] = {}
+    for p in sorted(st._forest.order, key=len):
+        n = node[p]
+        trace.s_values[n] = Fraction(s[p], st._den)
+        top = max((s[c] for c in kids[p]), default=0)
+        ties = sorted((c for c in kids[p] if s[c] == top), key=len)
+        trace.tie_sets[n] = tuple(node[c] for c in ties)
+        if ties:
+            pick[p] = ties[0] if tie_policy == "lex-min" else ties[-1]
+        trace.chosen[n] = node[pick[p]] if ties else None
+    # phase 2: every node no node picked heads a segment, which follows the picks down
+    picked = set(pick.values())
     segments = []
-    # every support node is a root, a kid left behind, or the pick of its parent,
-    # so the walk records each one exactly once
-    heads = list(st._forest.roots)
-    while heads:
-        head = cur = heads.pop()
-        while True:
-            n = node[cur]
-            trace.s_values[n] = Fraction(s[cur], st._den)
-            top = max((s[c] for c in kids[cur]), default=0)
-            ties = sorted((c for c in kids[cur] if s[c] == top), key=len)
-            trace.tie_sets[n] = tuple(node[c] for c in ties)
-            if not ties:
-                trace.chosen[n] = None
-                break
-            pick = ties[0] if tie_policy == "lex-min" else ties[-1]
-            trace.chosen[n] = node[pick]
-            heads.extend(c for c in kids[cur] if c != pick)
-            cur = pick
-        segments.append(Segment(node[head], node[cur]))
+    for head in st._forest.order:
+        if head not in picked:
+            bottom = head
+            while bottom in pick:
+                bottom = pick[bottom]
+            segments.append(Segment(node[head], node[bottom]))
     return Partition(frozenset(segments)), trace
 
 

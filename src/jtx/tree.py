@@ -157,7 +157,7 @@ def comparable_pairs(nodes: Iterable[Node]) -> list[tuple[Node, Node]]:
 
 
 def parent_child_pairs(nodes: Iterable[Node]) -> list[tuple[Node, Node]]:
-    """Pairs (u, v) of the node set with v an immediate child of u."""
+    """Pairs (u, v) of the node set with v an immediate child of u, in canonical order."""
     ns = canonical_order(nodes)
     have = {n.path for n in ns}
     out = []

@@ -2,8 +2,9 @@
 
 Rationals travel as strings ("p" or "p/q"); decimal renderings are
 side-channel only and always labeled as such. Node wire form is the bit
-string with "" for the root. All emitted documents order keys
-canonically so identical inputs produce identical bytes.
+string with "" for the root. Reports come in canonical order and
+documents keep their order, so identical inputs produce identical bytes;
+only a Partition, a set, is sorted here.
 """
 
 from __future__ import annotations
@@ -119,7 +120,7 @@ def load_partition(stream: IO[str], max_depth: int = DEFAULT_MAX_DEPTH) -> Parti
 def check_digits(digits: int) -> None:
     """Reject digit counts outside 0..MAX_DIGITS."""
     if not 0 <= digits <= MAX_DIGITS:
-        raise InputError(f"digits must be between 0 and {MAX_DIGITS}, got {digits}")
+        raise InputError(f"digits must be between 0 and {MAX_DIGITS}, got {_shown(str(digits))}")
 
 
 def sqrt_decimal(q: Fraction, digits: int = DEFAULT_DIGITS) -> str:
@@ -164,16 +165,12 @@ def _pair_doc(pair: tuple[Node, Node] | None) -> list[str] | None:
 
 
 def separation_doc(report: SeparationReport) -> dict:
-    pairs = sorted(
-        report.pair_gaps.items(),
-        key=lambda item: (item[0][0].sort_key(), item[0][1].sort_key()),
-    )
     return {
         "separated": report.separated,
         "mode": report.mode,
         "pair_gaps": [
             {"u": u.path, "v": v.path, "gap": format_rational(g)}
-            for (u, v), g in pairs
+            for (u, v), g in report.pair_gaps.items()
         ],
         "first_blocked_pair": _pair_doc(report.first_blocked_pair),
     }
@@ -190,16 +187,11 @@ def certificate_doc(cert: ExtremeCertificate) -> dict:
     }
 
 
-def _node_items(d: dict[Node, Any]) -> list[tuple[Node, Any]]:
-    """d's items in canonical order of their Node keys."""
-    return sorted(d.items(), key=lambda kv: kv[0].sort_key())
-
-
 def greedy_trace_doc(trace: GreedyTrace) -> dict:
     return {
-        "s_values": {n.path: format_rational(s) for n, s in _node_items(trace.s_values)},
-        "chosen": {n.path: None if c is None else c.path for n, c in _node_items(trace.chosen)},
-        "ties": {n.path: [c.path for c in ties] for n, ties in _node_items(trace.tie_sets)},
+        "s_values": {n.path: format_rational(s) for n, s in trace.s_values.items()},
+        "chosen": {n.path: None if c is None else c.path for n, c in trace.chosen.items()},
+        "ties": {n.path: [c.path for c in ties] for n, ties in trace.tie_sets.items()},
     }
 
 
@@ -219,12 +211,12 @@ def equal_sums_doc(report: EqualSumsReport) -> dict:
         "holds": report.holds,
         "sigma": format_rational(report.sigma),
         "branch_sums": {
-            u.path: {bottom.path: format_rational(s) for bottom, s in _node_items(sums)}
-            for u, sums in _node_items(report.branch_sums)
+            u.path: {bottom.path: format_rational(s) for bottom, s in sums.items()}
+            for u, sums in report.branch_sums.items()
         },
         "sibling_balance": {
             u.path: [format_rational(a), format_rational(b)]
-            for u, (a, b) in _node_items(report.sibling_balance)
+            for u, (a, b) in report.sibling_balance.items()
         },
     }
 

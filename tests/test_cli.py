@@ -19,7 +19,12 @@ Claims:
       bytes; ASCII values parse as before
     - an --out path that cannot be written exits 2 with an InputError
       document, for norm and for dot, and so does a --partition file that
-      cannot be read, for consistent and for dot
+      cannot be read, for consistent and for dot; the message echoes a
+      path, and the OS error that repeats it, whole when short and cut
+      short past 200 characters, as does the out-of-range --digits
+      message; an integer flag that is no integer, or one past the
+      4,300-digit limit, gets argparse's plain-text usage error (exit 2)
+      with the value cut short
     - norm reads the vector from stdin for "-" and gives the document it
       gives for the same file, the error document for bytes that are not
       UTF-8 included, whatever text layer stdin has
@@ -627,6 +632,28 @@ class TestErrors:
         assert code == 2 and out == ""
         assert json.loads(err)["error"]["type"] == "InputError"
 
+    def test_digits_message(self, vec_file, capsys):
+        code, _, err = _run(capsys, ["norm", vec_file, "--digits", "1001"])
+        assert code == 2
+        assert json.loads(err)["error"]["message"] == "digits must be between 0 and 1000, got 1001"
+
+    def test_long_digits_leave_a_short_error(self, vec_file, capsys):
+        code, out, err = _run(capsys, ["norm", vec_file, "--digits", "1" * 4000])
+        assert (code, out) == (2, "")
+        assert len(err.encode()) < 1000
+        error = json.loads(err)["error"]
+        assert error["type"] == "InputError" and error["message"].endswith("... (4000 characters)")
+
+    @pytest.mark.parametrize("flag", ["--digits", "--oracle-cap"])
+    def test_bad_int_flag(self, vec_file, capsys, flag):
+        """argparse's own plain-text usage error, with a long value cut short."""
+        for value, shown in [("7x", "'7x'"), ("1" * 5000, "'" + "1" * 199 + "... (5002 characters)")]:
+            with pytest.raises(SystemExit) as exc:
+                main(["norm", vec_file, "--oracle", flag, value])
+            err = capsys.readouterr().err
+            assert exc.value.code == 2 and len(err.encode()) < 1000
+            assert err.endswith(f"error: argument {flag}: invalid int value: {shown}\n")
+
     @pytest.mark.parametrize("text", [
         '{"vector": {"": "' + "1" * 100_000 + '"}}',
         '{"vector": {"": "' + "x" * 100_000 + '"}}',
@@ -651,6 +678,28 @@ class TestErrors:
         error = json.loads(err)["error"]
         assert error["type"] == "InputError"
         assert error["message"].startswith(f"cannot write {target}: ")
+
+    def test_short_path_echoed_whole(self, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        code, _, err = _run(capsys, ["norm", str(missing)])
+        assert code == 2
+        assert json.loads(err)["error"]["message"] == (
+            f"cannot read {missing}: [Errno 2] No such file or directory: '{missing}'"
+        )
+
+    @pytest.mark.parametrize("where", ["vector", "--partition", "--out"])
+    def test_long_path_leaves_a_short_error(self, vec_file, tmp_path, capsys, where):
+        path = str(tmp_path / ("a" * 5000))
+        argv = {
+            "vector": ["norm", path],
+            "--partition": ["consistent", vec_file, "--partition", path],
+            "--out": ["norm", vec_file, "--out", path],
+        }[where]
+        code, out, err = _run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert len(err.encode()) < 1000
+        error = json.loads(err)["error"]
+        assert error["type"] == "InputError" and error["message"].endswith(" characters)")
 
     def test_exponent_value_rejected(self, tmp_path, capsys):
         path = tmp_path / "exp.json"

@@ -24,6 +24,10 @@ Claims:
       equal the per-level construction and the stack walk they replaced
       (hypothesis differentials on positive forests, sparse chains to
       depth 300 and full trees)
+    - every report map iterates in canonical order of its keys: the pair
+      gaps of both scan modes, with and without stop_on_blocked, the
+      isolatable nodes, the branch sums (outer and inner), the sibling
+      balance and the greedy trace under both tie policies
 """
 
 from __future__ import annotations
@@ -55,6 +59,7 @@ from jtx import (
     all_isolatable_implies_l2,
     certify_extreme,
     equal_sums_report,
+    greedy_partition,
     is_separated,
     isolatable_nodes,
     jt_norm_sq,
@@ -589,3 +594,41 @@ class TestEqualSums:
         assert sums[Node("01")] == Fraction(7, 4)
         assert sums[Node("10")] == 1
         assert certify_extreme(x).verdict == "extreme"
+
+
+def _in_canonical_order(keys) -> bool:
+    """Whether Nodes, or pairs of Nodes (by u, then v), come in canonical order."""
+    keys = list(keys)
+
+    def key(k):
+        return k.sort_key() if isinstance(k, Node) else tuple(n.sort_key() for n in k)
+
+    return keys == sorted(keys, key=key)
+
+
+class TestReportsAreCanonical:
+    """Every report map iterates in canonical order, which documents keep."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(signed_sparse())
+    @example(TreeVector.from_dict({"": 1, "0": 1, "1": 1, "00": 1, "01": -1, "10": 1}))
+    def test_separation_and_isolation(self, x):
+        for all_pairs in (False, True):
+            for stop_on_blocked in (False, True):
+                report = is_separated(x, all_pairs, stop_on_blocked)
+                assert _in_canonical_order(report.pair_gaps)
+        assert _in_canonical_order(isolatable_nodes(x))
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(positive_supports())
+    @example(full_tree_vector(3))
+    def test_equal_sums_and_greedy_trace(self, x):
+        report = equal_sums_report(x)
+        assert _in_canonical_order(report.branch_sums)
+        assert all(_in_canonical_order(sums) for sums in report.branch_sums.values())
+        assert _in_canonical_order(report.sibling_balance)
+        for policy in ("lex-min", "lex-max"):
+            trace = greedy_partition(x, policy)[1]
+            for d in (trace.s_values, trace.chosen, trace.tie_sets):
+                assert _in_canonical_order(d)
+            assert all(_in_canonical_order(ties) for ties in trace.tie_sets.values())
