@@ -17,11 +17,12 @@ as "1e50" are rejected), and every output value must fit the
 interpreter's limit on the digits of integer text. The oracle cap (from
 --oracle-cap or JTX_ORACLE_CAP) is an integer of at least 0; only the
 commands that read it (norm --oracle, enumerate-norming, witness)
-check it. An input file, or a vector read from stdin, is UTF-8 text
-whatever the locale, no JSON object in it may repeat a key, its nesting
-stays within the interpreter's recursion limit, a bare integer in it
-obeys the same digit limit, and a partition segment's top and bottom
-are strings.
+check it. The integer flags and JTX_ORACLE_CAP reject "_" and non-ASCII
+characters, as vector values do. An input file, or a vector read from
+stdin, is UTF-8 text whatever the locale, no JSON object in it may
+repeat a key, its nesting stays within the interpreter's recursion
+limit, a bare integer in it obeys the same digit limit, and a partition
+segment's top and bottom are strings.
 
 The argument parser is built once per process, on the first main()
 call, and reused by every later call: it holds no per-call state, since
@@ -62,10 +63,17 @@ from .tree import parse_node
 from .vector import format_rational
 
 
+def _ascii_int(text: str) -> int:
+    """int(text) in the grammar of vector values: a ValueError for '_' or a non-ASCII character."""
+    if "_" in text or not text.isascii():
+        raise ValueError(text)
+    return int(text)
+
+
 def _int_flag(text: str) -> int:
     """An integer flag's value; argparse's message for a bad one, echoing it cut short."""
     try:
-        return int(text)
+        return _ascii_int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {_shown(repr(text))}") from None
 
@@ -149,7 +157,7 @@ def _resolve_cap(args: argparse.Namespace) -> int:
         if env is None:
             return ORACLE_NODE_CAP
         try:
-            cap, source = int(env), "JTX_ORACLE_CAP"
+            cap, source = _ascii_int(env), "JTX_ORACLE_CAP"
         except ValueError:
             raise InputError(f"JTX_ORACLE_CAP must be an integer, got {_shown(repr(env))}") from None
     if cap < 0:

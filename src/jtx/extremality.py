@@ -18,19 +18,35 @@ x +- y of the partitions that cut the edge (u, v), read from the
 solver's cached tables and contexts (NormSolver._keeps_norm): eps works
 iff C+ <= N and C- <= N. The tests and the benchmark's correctness gate
 still recompute ||x +- y|| with fresh solves.
+
+Certificates and the parent-child scan read one memoised cut per
+skeleton edge. Every edge of a support-free stretch cuts like the edge
+above the skeleton node d below it, so gap(p[:-1], p) = N - cut(d) for
+each p on d's stretch (NormSolver._stretch_gap). The first blocked pair
+in canonical order is the top edge of the first blocked stretch, so
+certify_extreme visits the stretches in that order, stops at the first
+blocked one and never builds ran(x). The all-comparable scan keeps the
+public gap, which builds ran(x) to check its nodes.
+
+Perturbations off ran(x) need no check. If ||x +- y|| <= ||x|| and P is
+a norming partition, then q_P(x + y) + q_P(x - y) = 2N + 2 q_P(y) <= 2N,
+so y sums to 0 on every segment of every norming partition. A norming
+partition trimmed to the support stays norming and lies in ran(x), and
+adding to it the singleton of a node off ran(x) keeps it norming, so y
+vanishes off ran(x).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Iterator, Optional
 
 from .errors import DomainError, InternalError
 from .greedy import SupportTree
 from .norm import NormSolver, enumerate_norming
 from .tree import (
-    Node, _forest, canonical_order, comparable_pairs, parent_child_pairs, range_paths
+    Node, _forest, canonical_order, comparable_pairs, range_paths
 )
 from .vector import TreeVector
 
@@ -86,18 +102,20 @@ def is_separated(
 def _separation_scan(
     solver: NormSolver, all_pairs: bool, stop_on_blocked: bool
 ) -> SeparationReport:
-    ran = [Node(p) for p in solver.ran]
-    pairs = comparable_pairs(ran) if all_pairs else parent_child_pairs(ran)
+    if all_pairs:
+        pairs = comparable_pairs(Node(p) for p in solver.ran)
+        scored = ((u, v, solver.gap(u, v)) for u, v in pairs)
+    else:
+        scored = _edge_gaps(solver)
     gaps: dict[Pair, Fraction] = {}
     blocked: Optional[Pair] = None
-    for u, v in pairs:
-        g = solver.gap(u, v)
+    for u, v, g in scored:
         gaps[(u, v)] = g
-        if g > 0 and blocked is None and v.parent() == u:
+        if blocked is None and g and len(v.path) == len(u.path) + 1:
             blocked = (u, v)
             if stop_on_blocked:
                 break
-    if blocked is None and any(g > 0 for g in gaps.values()):
+    if blocked is None and any(gaps.values()):
         # cannot happen: a blocked comparable pair forces a blocked
         # parent-child pair (segments are convex)
         raise InternalError("blocked pair without a blocked parent-child pair")
@@ -107,6 +125,25 @@ def _separation_scan(
         first_blocked_pair=blocked,
         mode="all-comparable" if all_pairs else "parent-child",
     )
+
+
+def _edge_gaps(solver: NormSolver) -> Iterator[tuple[Node, Node, Fraction]]:
+    """(parent(v), v, gap) for every non-root range node v, in canonical order of v.
+
+    That is the canonical order of the parent-child pairs (u, v), since
+    v's path extends u's. The stretch of a non-root skeleton node d runs
+    from below up(d) down to d, and each of its edges cuts like the edge
+    above d, so each gap is one memoised cut, read once per d.
+    """
+    up = solver._skel.up
+    edges = sorted((k, d[:k], d) for d, u in up.items() for k in range(len(u) + 1, len(d) + 1))
+    gap_at: dict[str, Fraction] = {}
+    node: dict[str, Node] = {}  # each v's Node, reused as the parent of v's children
+    for _, v, d in edges:
+        if d not in gap_at:
+            gap_at[d] = solver._stretch_gap(d)
+        node[v] = Node(v)
+        yield node.get(v[:-1]) or Node(v[:-1]), node[v], gap_at[d]
 
 
 def perturbation_witness(x: TreeVector, u: Node, v: Node) -> tuple[TreeVector, Fraction]:
@@ -135,6 +172,13 @@ def _perturbation(solver: NormSolver, u: Node, v: Node) -> tuple[TreeVector, Fra
         raise DomainError(
             f"pair ({u.path!r}, {v.path!r}) is separable; no witness exists"
         )
+    return _scaled_witness(solver, u, v, g)
+
+
+def _scaled_witness(
+    solver: NormSolver, u: Node, v: Node, g: Fraction
+) -> tuple[TreeVector, Fraction]:
+    """perturbation_witness for a range node u, its child v and gap(u, v) = g > 0."""
     keeps = solver._keeps_norm(u.path, v.path)
     eps = Fraction(1)
     k_max = _halving_bound(g, solver.norm_sq())
@@ -163,25 +207,33 @@ def certify_extreme(x: TreeVector) -> ExtremeCertificate:
     Separated vectors are extreme; the basis records when the cheaper
     l2-equality criterion already applies. Non-separated vectors come
     with a verified perturbation witness on the first blocked pair.
+
+    The first blocked pair in canonical order is the top edge (u, v) of
+    the first blocked stretch: u = up(d) and v = d[:len(u) + 1] for a
+    non-root skeleton node d. So the skeleton nodes are visited in
+    canonical order of (u, v), one memoised cut each, until one is
+    blocked; ran(x) is never built.
     """
     if x.is_zero():
         raise DomainError("the zero vector has no extremality certificate")
     solver = NormSolver(x)
     norm_sq = solver.norm_sq()
-    report = _separation_scan(solver, all_pairs=False, stop_on_blocked=True)
-    if report.separated:
-        basis = "l2-equality" if norm_sq == x.l2_sq() else "separated-finite-support"
-        return ExtremeCertificate(verdict="extreme", basis=basis, norm_sq=norm_sq)
-    u, v = report.first_blocked_pair
-    y, eps = _perturbation(solver, u, v)
-    return ExtremeCertificate(
-        verdict="not-extreme",
-        basis="blocked-pair",
-        norm_sq=norm_sq,
-        blocked_pair=(u, v),
-        witness_y=y,
-        epsilon=eps,
-    )
+    tops = sorted((len(u), u, d[:len(u) + 1], d) for d, u in solver._skel.up.items())
+    for _, u, v, d in tops:
+        g = solver._stretch_gap(d)
+        if g > 0:
+            blocked = Node(u), Node(v)
+            y, eps = _scaled_witness(solver, *blocked, g)
+            return ExtremeCertificate(
+                verdict="not-extreme",
+                basis="blocked-pair",
+                norm_sq=norm_sq,
+                blocked_pair=blocked,
+                witness_y=y,
+                epsilon=eps,
+            )
+    basis = "l2-equality" if norm_sq == x.l2_sq() else "separated-finite-support"
+    return ExtremeCertificate(verdict="extreme", basis=basis, norm_sq=norm_sq)
 
 
 def vanishes_on_all_norming(

@@ -442,6 +442,12 @@ class NormSolver:
             best = self._cuts[d] = self._closed(d) + self._outside(d)
         return best
 
+    def _stretch_gap(self, d: str) -> Fraction:
+        """gap(p[:-1], p) for every p on the stretch of a non-root skeleton
+        node d, from d[:len(up(d)) + 1] down to d: each of those edges
+        cuts like the edge above d."""
+        return Fraction(self._total - self._cut(d), self.den * self.den)
+
     def _closed(self, c: str) -> int:
         """Best unconstrained score of subtree(c) with nothing open above c."""
         return self._tables[c][2]

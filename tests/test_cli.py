@@ -24,7 +24,8 @@ Claims:
       short past 200 characters, as does the out-of-range --digits
       message; an integer flag that is no integer, or one past the
       4,300-digit limit, gets argparse's plain-text usage error (exit 2)
-      with the value cut short
+      with the value cut short; the integer flags and JTX_ORACLE_CAP
+      refuse "_" and non-ASCII digits, as vector values do
     - norm reads the vector from stdin for "-" and gives the document it
       gives for the same file, the error document for bytes that are not
       UTF-8 included, whatever text layer stdin has
@@ -647,12 +648,25 @@ class TestErrors:
     @pytest.mark.parametrize("flag", ["--digits", "--oracle-cap"])
     def test_bad_int_flag(self, vec_file, capsys, flag):
         """argparse's own plain-text usage error, with a long value cut short."""
-        for value, shown in [("7x", "'7x'"), ("1" * 5000, "'" + "1" * 199 + "... (5002 characters)")]:
+        for value, shown in [
+            ("7x", "'7x'"),
+            ("1_0", "'1_0'"),  # the grammar of vector values: no "_" and no non-ASCII digit
+            ("1_3", "'1_3'"),
+            (" \u0661\u0662 ", "' \u0661\u0662 '"),
+            ("1" * 5000, "'" + "1" * 199 + "... (5002 characters)"),
+        ]:
             with pytest.raises(SystemExit) as exc:
                 main(["norm", vec_file, "--oracle", flag, value])
             err = capsys.readouterr().err
             assert exc.value.code == 2 and len(err.encode()) < 1000
             assert err.endswith(f"error: argument {flag}: invalid int value: {shown}\n")
+
+    def test_cap_env_reads_ascii_digits_only(self, vec_file, capsys, monkeypatch):
+        monkeypatch.setenv("JTX_ORACLE_CAP", "1_3")
+        code, out, err = _run(capsys, ["norm", vec_file, "--oracle"])
+        assert (code, out) == (2, "")
+        error = json.loads(err)["error"]
+        assert error == {"type": "InputError", "message": "JTX_ORACLE_CAP must be an integer, got '1_3'"}
 
     @pytest.mark.parametrize("text", [
         '{"vector": {"": "' + "1" * 100_000 + '"}}',

@@ -14,6 +14,12 @@ Claims:
       differentials that meet u or v on a stretch, v a skeleton leaf
       below a stretch, u a component root and a perturbed entry of 0,
       at scales 2^-70 and 2^-200 too); certify_extreme builds one solver
+    - the parent-child scan and certify_extreme read one memoised cut per
+      skeleton node and match the ran-based scan kept as the reference
+      (pairs, order, gaps, first blocked pair, with and without
+      stop_on_blocked, and the certificate) on hypothesis signed vectors
+      with stretches and several components and on x_1..x_8; a
+      certificate builds no range
     - l2 equality forces separation and extremality; on single branches
       and incomparable-segment supports the converse holds too
     - isolation of every support node forces l2 equality
@@ -52,9 +58,11 @@ from hypothesis import strategies as st
 
 from jtx import (
     DomainError,
+    ExtremeCertificate,
     Node,
     NormSolver,
     PositivityError,
+    SeparationReport,
     TreeVector,
     all_isolatable_implies_l2,
     certify_extreme,
@@ -301,6 +309,24 @@ class TestCertifyExtreme:
         assert cert.verdict == "not-extreme" and cert.epsilon == Fraction(1, 2**70)
         assert built == [TINY_CHILD]  # 71 halvings, each checked on the cut tables
 
+    def test_builds_no_range(self, monkeypatch):
+        """The certificate reads one memoised cut per skeleton node, so it
+        certifies a vector blocked on a stretch, a separated signed vector
+        and x_3 with every range builder refusing to run."""
+
+        def refuse(paths):
+            raise AssertionError("ran(x) was built")
+
+        monkeypatch.setattr("jtx.norm.range_paths", refuse)
+        monkeypatch.setattr("jtx.tree.range_paths", refuse)
+        cert = certify_extreme(LEAF_BELOW_STRETCH)
+        assert cert.verdict == "not-extreme" and cert.epsilon == Fraction(1, 2)
+        assert cert.blocked_pair == (Node(""), Node("0"))  # "0" lies on the stretch above "011"
+        cert = certify_extreme(TreeVector.from_dict({"": 1, "00": -1, "1": -1}))
+        assert (cert.verdict, cert.basis) == ("extreme", "l2-equality")
+        cert = certify_extreme(full_tree_vector(3))
+        assert (cert.verdict, cert.basis) == ("extreme", "separated-finite-support")
+
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_full_trees_extreme(self, n):
         cert = certify_extreme(full_tree_vector(n))
@@ -340,6 +366,67 @@ class TestCertifyExtreme:
             cert = certify_extreme(x)
             assert cert.verdict == "extreme"
         assert hits >= 20
+
+
+def _reference_scan(x: TreeVector, stop_on_blocked: bool = False) -> SeparationReport:
+    """The parent-child scan as it was before it read the cut tables, kept
+    as the reference: the public gap over parent_child_pairs(x.range()),
+    stopping at the first blocked pair when asked."""
+    solver = NormSolver(x)
+    gaps, blocked = {}, None
+    for u, v in parent_child_pairs(x.range()):
+        g = gaps[(u, v)] = solver.gap(u, v)
+        if g > 0 and blocked is None:
+            blocked = (u, v)
+            if stop_on_blocked:
+                break
+    return SeparationReport(blocked is None, gaps, blocked, "parent-child")
+
+
+def _reference_certificate(x: TreeVector) -> ExtremeCertificate:
+    """The certificate of the reference scan: its first blocked pair and the
+    public perturbation_witness on it."""
+    norm_sq = jt_norm_sq(x).norm_sq
+    blocked = _reference_scan(x, stop_on_blocked=True).first_blocked_pair
+    if blocked is None:
+        basis = "l2-equality" if norm_sq == x.l2_sq() else "separated-finite-support"
+        return ExtremeCertificate("extreme", basis, norm_sq)
+    y, eps = perturbation_witness(x, *blocked)
+    return ExtremeCertificate("not-extreme", "blocked-pair", norm_sq, blocked, y, eps)
+
+
+# two components with long support-free stretches: the first blocked, the second separated
+TWO_STRETCHES = TreeVector.from_dict({"0": 2, "0" + "1" * 28: 1, "1": 1, "1" + "0" * 29: -1})
+
+
+class TestScansOnCuts:
+    """The parent-child scan and the certificate read one memoised cut per
+    skeleton node and give what the ran-based scan gives: the same pairs in
+    the same order, the same gaps and first blocked pair, with and without
+    stop_on_blocked, and the same certificate."""
+
+    @staticmethod
+    def _assert_matches_reference(x: TreeVector) -> None:
+        for stop_on_blocked in (False, True):
+            report = is_separated(x, stop_on_blocked=stop_on_blocked)
+            expected = _reference_scan(x, stop_on_blocked)
+            assert list(report.pair_gaps.items()) == list(expected.pair_gaps.items())
+            assert report == expected
+        if not x.is_zero():
+            assert certify_extreme(x) == _reference_certificate(x)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(signed_sparse())
+    @example(EX)
+    @example(LEAF_BELOW_STRETCH)
+    @example(TINY_CHILD)
+    @example(TWO_STRETCHES)
+    def test_matches_the_ran_based_scan(self, x):
+        self._assert_matches_reference(x)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_x_n(self, n):
+        self._assert_matches_reference(full_tree_vector(n))
 
 
 class TestVanishes:
