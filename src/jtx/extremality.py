@@ -20,13 +20,15 @@ iff C+ <= N and C- <= N. The tests and the benchmark's correctness gate
 still recompute ||x +- y|| with fresh solves.
 
 Certificates and the parent-child scan read one memoised cut per
-skeleton edge. Every edge of a support-free stretch cuts like the edge
-above the skeleton node d below it, so gap(p[:-1], p) = N - cut(d) for
-each p on d's stretch (NormSolver._stretch_gap). The first blocked pair
-in canonical order is the top edge of the first blocked stretch, so
-certify_extreme visits the stretches in that order, stops at the first
-blocked one and never builds ran(x). The all-comparable scan keeps the
-public gap, which builds ran(x) to check its nodes.
+skeleton edge, and the scan lists its pairs from the skeleton's
+stretches (tree._stretches). Every edge of a support-free stretch cuts
+like the edge above the skeleton node d below it, so
+gap(p[:-1], p) = N - cut(d) for each p on d's stretch
+(NormSolver._stretch_gap). The first blocked pair in canonical order is
+the top edge of the first blocked stretch, so certify_extreme visits
+the stretches in that order, stops at the first blocked one and never
+builds ran(x). The all-comparable scan keeps the public gap, which
+builds ran(x) to check its nodes.
 
 Perturbations off ran(x) need no check. If ||x +- y|| <= ||x|| and P is
 a norming partition, then q_P(x + y) + q_P(x - y) = 2N + 2 q_P(y) <= 2N,
@@ -45,9 +47,7 @@ from typing import Iterator, Optional
 from .errors import DomainError, InternalError
 from .greedy import SupportTree
 from .norm import NormSolver, enumerate_norming
-from .tree import (
-    Node, _forest, canonical_order, comparable_pairs, range_paths
-)
+from .tree import Node, _forest, _skeleton, _stretches, canonical_order, comparable_pairs
 from .vector import TreeVector
 
 Pair = tuple[Node, Node]
@@ -131,12 +131,11 @@ def _edge_gaps(solver: NormSolver) -> Iterator[tuple[Node, Node, Fraction]]:
     """(parent(v), v, gap) for every non-root range node v, in canonical order of v.
 
     That is the canonical order of the parent-child pairs (u, v), since
-    v's path extends u's. The stretch of a non-root skeleton node d runs
-    from below up(d) down to d, and each of its edges cuts like the edge
-    above d, so each gap is one memoised cut, read once per d.
+    v's path extends u's. The skeleton's stretches list every such v with
+    the skeleton node d at or below it, and each edge of d's stretch cuts
+    like the edge above d, so each gap is one memoised cut, read once per d.
     """
-    up = solver._skel.up
-    edges = sorted((k, d[:k], d) for d, u in up.items() for k in range(len(u) + 1, len(d) + 1))
+    edges = sorted((len(v), v, d) for v, d in _stretches(solver._skel))
     gap_at: dict[str, Fraction] = {}
     node: dict[str, Node] = {}  # each v's Node, reused as the parent of v's children
     for _, v, d in edges:
@@ -284,18 +283,19 @@ def _descent_sums(x: TreeVector) -> dict[str, dict[str, Fraction]]:
 
     The branch ends are the leaves of ran(x), which lie in the support,
     and the exits: the child outside ran(x) of a range node with one
-    child in it. Linked with the support into one forest, each end in
-    canonical order climbs its support ancestors once and adds the
-    growing sum to the map of each, so past sorting the ends the cost is
-    linear in the range plus the output.
+    child in it. They are listed from the skeleton's stretches: a
+    skeleton node has at most one skeleton kid on each side, and a
+    stretch node is off the skeleton, so the sibling of a range node v
+    is an exit iff v's parent has fewer than two skeleton kids. Linked
+    with the support into one forest, each end in canonical order climbs
+    its support ancestors once and adds the growing sum to the map of
+    each, so past sorting the ends the cost is linear in the range plus
+    the output.
     """
     values = {n.path: v for n, v in x.items()}
-    ran = range_paths(values)
-    exits = []
-    for p in ran:
-        zero, one = p + "0", p + "1"
-        if (zero in ran) != (one in ran):
-            exits.append(one if zero in ran else zero)
+    skel = _forest(sorted(_skeleton(values)))
+    kids = skel.kids
+    exits = [v[:-1] + "10"[int(v[-1])] for v, _ in _stretches(skel) if len(kids.get(v[:-1], ())) < 2]
     forest = _forest(sorted([*values, *exits]))
     up = forest.up
     sums: dict[str, dict[str, Fraction]] = {p: {} for p in values}

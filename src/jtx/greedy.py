@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional
 
-from .errors import DomainError
+from .errors import DomainError, _shown
 from .norm import NormSolver, Partition
 from .tree import Node, Segment, _forest
 from .vector import TreeVector
@@ -149,7 +149,7 @@ def greedy_partition(
     """
     x.require_positive("greedy_partition")
     if tie_policy not in ("lex-min", "lex-max"):
-        raise DomainError(f"unknown tie policy {tie_policy!r}")
+        raise DomainError(f"unknown tie policy {_shown(repr(tie_policy))}")
     st = SupportTree(x)
     kids, s, node = st._forest.kids, st._s, st._node
     trace = GreedyTrace()

@@ -80,8 +80,8 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Union
 
-from .errors import CapError, DomainError, InfeasibleError, InvalidPartitionError
-from .tree import Node, Segment, _Forest, _forest, leq, range_paths, segments_disjoint
+from .errors import CapError, DomainError, InfeasibleError, InvalidPartitionError, _shown
+from .tree import Node, Segment, _Forest, _expand, _forest, _skeleton, leq, segments_disjoint
 from .vector import TreeVector
 
 # Exhaustive family enumeration grows super-exponentially; refuse above this
@@ -210,14 +210,16 @@ class NormSolver:
     Building the solver precomputes the scaled entries and the range's
     skeleton, and solves the unconstrained DP, so callers that probe
     many constraint sets (gap scans, separation checks) pay the
-    structural cost a single time. The range itself is built on the
-    first read of `ran`, by a query that tests nodes against it.
+    structural cost a single time. The range itself is read off the
+    skeleton, by expanding its stretches (tree._expand), on the first
+    read of `ran`, by a query that tests nodes against it.
 
-    The skeleton is the support plus every range node with two range
-    children: at most 2 |supp| - 1 nodes, whatever the depth. Every DP
-    pass, witness and cut query walks only the skeleton forest (kids
-    and up), so it costs O(|skeleton| * table) rather than O(|ran|); the
-    module docstring says why skipping the other range nodes is exact.
+    The skeleton (tree._skeleton) is the support plus every range node
+    with two range children: at most 2 |supp| - 1 nodes, whatever the
+    depth. Every DP pass, witness and cut query walks only the skeleton
+    forest (kids and up), so it costs O(|skeleton| * table) rather than
+    O(|ran|); the module docstring says why skipping the other range
+    nodes is exact.
     A constrained solve splices its pair endpoints and forced tops and
     bottoms into the forest for that solve, then cuts each forced
     segment's chain out of it. Tables keep scores only; solve() finds
@@ -266,37 +268,14 @@ class NormSolver:
 
     @property
     def ran(self) -> frozenset[str]:
-        """The paths of ran(x), built on first read by a query that probes it."""
+        """The paths of ran(x), read off the skeleton on first read."""
         if self._ran is None:
-            self._ran = range_paths(self.supp)
+            self._ran = _expand(self._skel)
         return self._ran
 
     def _skeleton(self) -> set[str]:
-        """The support and every range node with two range children.
-
-        In sorted order the paths of a subtree are contiguous, so a node
-        with support below both children is the longest common prefix p
-        of two neighbouring support paths a < b. That prefix is a itself
-        when a is a prefix of b, and b's parent when the parent is in the
-        support. Otherwise p is kept when it lies in the range, that is
-        when it starts with a's root, a's shallowest support prefix, so
-        that a and b share a component. In the first two cases they share
-        one too, and otherwise b is its component's first path and root.
-        ran(x) is never built.
-        """
-        order = sorted(self.supp)
-        kept = set(order)
-        root = order[0] if order else ""
-        for a, b in zip(order, order[1:]):
-            if not b.startswith(a) and b[:-1] not in self.supp:
-                k = 0  # b does not start with a < b, so they differ before either ends
-                while a[k] == b[k]:
-                    k += 1
-                if len(root) <= k:  # p = a[:k] starts with root, a prefix of a
-                    kept.add(a[:k])
-                else:
-                    root = b
-        return kept
+        """The nodes the DP keeps tables on; see tree._skeleton."""
+        return _skeleton(self.supp)
 
     # -- public ---------------------------------------------------------
 
@@ -371,7 +350,7 @@ class NormSolver:
                 self._require_in_ran(c.segment.top, c.segment.bottom)
                 forced.add(c.segment)
             else:
-                raise DomainError(f"unknown constraint {c!r}")
+                raise DomainError(f"unknown constraint {_shown(repr(c))}")
         try:
             Partition(frozenset(forced))
         except InvalidPartitionError as exc:

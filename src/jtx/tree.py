@@ -6,12 +6,21 @@ order is the initial-segment (prefix) order. A segment is an
 order-convex chain, stored by its two endpoints so that membership and
 disjointness are O(depth) string tests and deep chains are never
 materialized unless asked for.
+
+The range of a set of paths, its smallest complete subtree, is read
+off one map, its skeleton (_skeleton): the paths plus every range node
+with two range children, linked by _forest. Every other range node
+below a skeleton root lies on the stretch above exactly one skeleton
+node, and _stretches lists each with that node; _expand reads the
+range off as the roots and those nodes. range_paths, the solver's ran,
+the separation scan and the branch exits of the equal sums report all
+take the range from there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import DomainError, InputError, _shown
 
@@ -128,21 +137,9 @@ def range_paths(paths: Iterable[str]) -> frozenset[str]:
     """Paths of the smallest complete subtree containing the given paths.
 
     A node belongs to it iff it is a prefix of a member and has a member
-    as a prefix. Each member b climbs from itself toward its shallowest
-    member prefix and stops at the first node already added: that node's
-    own climb reached the same shallowest prefix, so everything above it
-    is in. Each node is added once, so the cost is O(|paths| * depth).
+    as a prefix. It is read off the skeleton of the paths (_expand).
     """
-    members = set(paths)
-    out: set[str] = set()
-    for b in members:
-        top = next(k for k in range(len(b) + 1) if b[:k] in members)
-        for k in range(len(b), top - 1, -1):
-            p = b[:k]
-            if p in out:
-                break
-            out.add(p)
-    return frozenset(out)
+    return _expand(_forest(sorted(_skeleton(paths))))
 
 
 def complete_closure(nodes: Iterable[Node]) -> frozenset[Node]:
@@ -222,3 +219,53 @@ def _forest(order: list[str]) -> _Forest:
             roots.append(p)
         stack.append(p)
     return _Forest(order, kids, up, roots)
+
+
+def _skeleton(paths: Iterable[str]) -> set[str]:
+    """The paths and every node of their range with two range children.
+
+    In sorted order the paths of a subtree are contiguous, so a node
+    with members below both children is the longest common prefix p
+    of two neighbouring members a < b. That prefix is a itself when a
+    is a prefix of b, and b's parent when the parent is a member.
+    Otherwise p is kept when it lies in the range, that is when it
+    starts with a's root, a's shallowest member prefix, so that a and b
+    share a component. In the first two cases they share one too, and
+    otherwise b is its component's first path and root. This is the
+    unary-path compression of Patricia tries: at most 2n - 1 nodes for
+    n members, however deep they lie, and the range is never built.
+    """
+    members = set(paths)
+    order = sorted(members)
+    kept = set(order)
+    root = order[0] if order else ""
+    for a, b in zip(order, order[1:]):
+        if not b.startswith(a) and b[:-1] not in members:
+            k = 0  # b does not start with a < b, so they differ before either ends
+            while a[k] == b[k]:
+                k += 1
+            if len(root) <= k:  # p = a[:k] starts with root, a prefix of a
+                kept.add(a[:k])
+            else:
+                root = b
+    return kept
+
+
+def _stretches(skel: _Forest) -> Iterator[tuple[str, str]]:
+    """(v, d) for every range node v below a root of the skeleton forest,
+    with d the skeleton node at or below v.
+
+    The range nodes strictly between a skeleton node d and its nearest
+    skeleton ancestor u lie off the skeleton, so each has one range
+    child and no member: they and d form d's stretch, the nodes
+    d[:k] for len(u) < k <= len(d). The range is the skeleton's roots
+    and every v, each listed once.
+    """
+    for d, u in skel.up.items():
+        for k in range(len(u) + 1, len(d) + 1):
+            yield d[:k], d
+
+
+def _expand(skel: _Forest) -> frozenset[str]:
+    """The range of a skeleton forest: its roots and every stretch node."""
+    return frozenset([*skel.roots, *(v for v, _ in _stretches(skel))])

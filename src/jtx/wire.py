@@ -74,7 +74,7 @@ def vector_from_doc(doc: Any, max_depth: int = DEFAULT_MAX_DEPTH) -> TreeVector:
     entries = {}
     for key, raw in doc["vector"].items():
         if not isinstance(key, str):
-            raise InputError(f"node keys must be strings, got {key!r}")
+            raise InputError(f"node keys must be strings, got {_shown(repr(key))}")
         entries[parse_node(key, max_depth)] = parse_rational(raw)
     return TreeVector(entries)
 

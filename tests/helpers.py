@@ -2,7 +2,9 @@
 
 Every generator takes an explicit random.Random so each test pins its
 own seed and the suite stays deterministic; `support_paths` is the
-hypothesis strategy shared by the differential suites.
+hypothesis strategy shared by the differential suites, and
+`range_all_pairs` the range by its definition, for the references that
+must not rest on the engine's skeleton.
 """
 
 from __future__ import annotations
@@ -21,6 +23,19 @@ def grid(max_depth: int) -> list[str]:
     for d in range(1, max_depth + 1):
         out.extend(format(i, f"0{d}b") for i in range(2**d))
     return out
+
+
+def range_all_pairs(paths) -> frozenset[str]:
+    """Reference range from its definition: every node between each
+    comparable pair of the given paths, the paths included. It shares
+    nothing with the engine's skeleton."""
+    members = set(paths)
+    out = set(members)
+    for a in members:
+        for b in members:
+            if b.startswith(a):
+                out.update(b[:k] for k in range(len(a), len(b)))
+    return frozenset(out)
 
 
 @st.composite

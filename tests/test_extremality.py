@@ -51,6 +51,7 @@ from helpers import (
     level_symmetric,
     random_positive,
     random_signed,
+    range_all_pairs,
     support_paths,
 )
 from hypothesis import example, given, settings
@@ -75,7 +76,7 @@ from jtx import (
     vanishes_on_all_norming,
 )
 from jtx.extremality import _descent_sums, _halving_bound
-from jtx.tree import parent_child_pairs, range_paths
+from jtx.tree import parent_child_pairs
 
 EX = TreeVector.from_dict({"": 1, "00": 1, "01": 1})
 TRIPOD = TreeVector.from_dict({"": 1, "0": 1, "1": 1})
@@ -312,13 +313,14 @@ class TestCertifyExtreme:
     def test_builds_no_range(self, monkeypatch):
         """The certificate reads one memoised cut per skeleton node, so it
         certifies a vector blocked on a stretch, a separated signed vector
-        and x_3 with every range builder refusing to run."""
+        and x_3 with the stretch enumerator, which every range read
+        runs, refusing to run in tree.py and in extremality.py."""
 
-        def refuse(paths):
+        def refuse(skel):
             raise AssertionError("ran(x) was built")
 
-        monkeypatch.setattr("jtx.norm.range_paths", refuse)
-        monkeypatch.setattr("jtx.tree.range_paths", refuse)
+        monkeypatch.setattr("jtx.tree._stretches", refuse)
+        monkeypatch.setattr("jtx.extremality._stretches", refuse)
         cert = certify_extreme(LEAF_BELOW_STRETCH)
         assert cert.verdict == "not-extreme" and cert.epsilon == Fraction(1, 2)
         assert cert.blocked_pair == (Node(""), Node("0"))  # "0" lies on the stretch above "011"
@@ -370,11 +372,12 @@ class TestCertifyExtreme:
 
 def _reference_scan(x: TreeVector, stop_on_blocked: bool = False) -> SeparationReport:
     """The parent-child scan as it was before it read the cut tables, kept
-    as the reference: the public gap over parent_child_pairs(x.range()),
-    stopping at the first blocked pair when asked."""
+    as the reference: the public gap over the parent-child pairs of the
+    range by its definition, stopping at the first blocked pair when asked."""
     solver = NormSolver(x)
     gaps, blocked = {}, None
-    for u, v in parent_child_pairs(x.range()):
+    ran = range_all_pairs(n.path for n in x.support())
+    for u, v in parent_child_pairs(Node(p) for p in ran):
         g = gaps[(u, v)] = solver.gap(u, v)
         if g > 0 and blocked is None:
             blocked = (u, v)
@@ -529,7 +532,7 @@ def _descent_sums_stack_walk(x: TreeVector) -> dict[str, dict[str, Fraction]]:
     stops.
     """
     values = {n.path: v for n, v in x.items()}
-    active = range_paths(values)
+    active = range_all_pairs(values)
     memo: dict[str, dict[str, Fraction]] = {}
     for start in sorted(values, key=len, reverse=True):
         own = values[start]

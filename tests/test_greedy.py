@@ -13,7 +13,7 @@ Claims:
       norm attainable
     - all tie branches of the greedy walk score identically
     - the walk's trace equals the per-node pre-pass it replaced, and an
-      unknown tie policy is a DomainError
+      unknown tie policy is a DomainError that echoes a long one cut short
 """
 
 from __future__ import annotations
@@ -131,6 +131,11 @@ class TestGreedyPartition:
     def test_rejects_unknown_tie_policy(self):
         with pytest.raises(DomainError, match="^unknown tie policy 'lex-mid'$"):
             greedy_partition(EX, "lex-mid")
+
+    def test_long_unknown_tie_policy_is_cut_short(self):
+        with pytest.raises(DomainError) as exc:
+            greedy_partition(EX, "x" * 5000)
+        assert str(exc.value) == "unknown tie policy '" + "x" * 199 + "... (5002 characters)"
 
     def test_trace_invariants(self):
         rng = random.Random(31)

@@ -18,7 +18,7 @@ Claims:
       incomparable pairs
     - constraint sets shrink the constrained optimum monotonically; a
       SeparatePair of one node and an object that is no constraint each
-      raise DomainError
+      raise DomainError, which echoes a long object cut short
     - restriction to a complete subtree never increases the norm
     - parent-child gaps, node isolation and every forced segment
       answered from the cached tables equal the constrained DP, and the
@@ -49,14 +49,21 @@ Claims:
       three tops to every range node, whatever order the queries come in;
       a full separation scan makes one visit per skeleton node for the
       solve plus one per skeleton edge for the contexts
+    - above the oracle cap, the segment-top referee, which scales the
+      entries and builds the range on its own, gives the DP's norm on
+      signed chains to depth 500 and full trees to depth 8, and every
+      parent-child gap (public gap and separation scan), every isolation
+      gap and the forced gaps of `_forced_segments` on small stretch
+      inputs
     - every skeleton node below a root, leaves included, recomposes the
       squared norm from its table and its context: N is the best of
       closed(v) + outside(v) and of an open entry of v's table finished
       by an entry of above(v)
     - the solver builds ran(x) only when a query reads it: building,
-      solve() and norm_sq() never call range_paths, the skeleton equals
-      the support plus the range nodes with two range children, and
-      ran, once read, is the range_paths frozenset; on several
+      solve() and norm_sq() never expand the skeleton's stretches, the
+      skeleton equals the support plus the range nodes with two range
+      children, and ran, once read off the skeleton, is the range_paths
+      frozenset and the range by definition; on several
       components in separate wedges and on 600-level chains with twigs,
       gap, forced_gap, isolation_gap and the constrained API raise the
       same DomainError for a node outside ran(x) before and after it is
@@ -71,13 +78,14 @@ import random
 import sys
 from collections import Counter
 from fractions import Fraction
+from math import lcm
 
 import pytest
-from helpers import chain_vector, grid, random_signed, support_paths
+from helpers import chain_vector, grid, random_signed, range_all_pairs, support_paths
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import jtx.norm
+import jtx.tree
 from jtx import (
     CapError,
     DomainError,
@@ -353,6 +361,11 @@ class TestConstrained:
     def test_unknown_constraint_rejected(self):
         with pytest.raises(DomainError, match="^unknown constraint "):
             constrained_norm_sq(EX, [Segment(Node(""), Node("0"))])
+
+    def test_long_unknown_constraint_is_cut_short(self):
+        with pytest.raises(DomainError) as exc:
+            constrained_norm_sq(EX, ["x" * 5000])
+        assert str(exc.value) == "unknown constraint '" + "x" * 199 + "... (5002 characters)"
 
     def test_monotone_in_constraint_sets(self):
         rng = random.Random(20)
@@ -798,7 +811,8 @@ class _RebuildEveryNodeSolver(NormSolver):
     """The DP as it was before the skeleton, the stretch pass-through and
     the score-only tables, kept as the reference.
 
-    Its forest is the whole range, so every range node gets a table and
+    Its forest is the whole range, read from the range's definition and
+    not from the engine's skeleton, so every range node gets a table and
     rebuilds its open entries; masks are frozensets of pair indices, and
     keys sort by (open sum, sorted mask tuple). Each table stores the
     choice behind every entry, one of ("start", closures), ("ext", i,
@@ -810,7 +824,7 @@ class _RebuildEveryNodeSolver(NormSolver):
     """
 
     def _skeleton(self):
-        return set(self.ran)
+        return set(range_all_pairs(self.supp))
 
     @staticmethod
     def _sorted_keys(opens):
@@ -1250,6 +1264,51 @@ class _PathRevisitSolver(NormSolver):
         return rest + table[2]
 
 
+class _SegmentTopReferee:
+    """Exact squared norms by segment tops, kept as an independent referee
+    above the oracle cap: it shares no idea with the open-sum tables, and
+    scales the entries and builds the range on its own.
+
+    f(v), the best score of subtree(v), is the best of closed(v), the sum
+    of f over v's kids, and of s^2 + off + closed(b) over the segments
+    [v, b] of the range: a walk down every chain from v keeps the running
+    sum s and off, the f of the subtrees hanging off the chain. The norm
+    is the sum of f over the roots. The walk never steps down the edge
+    `cut`, and the nodes in `drop` leave the range, so a subtree below a
+    dropped node is a component of its own. Cost O(|ran| * depth) per
+    score.
+    """
+
+    def __init__(self, x: TreeVector):
+        self.den = lcm(*(v.denominator for _, v in x.items()))
+        self.val = {n.path: int(v * self.den) for n, v in x.items()}
+        tops = {b: next(k for k in range(len(b) + 1) if b[:k] in self.val) for b in self.val}
+        self.ran = {b[:k] for b, top in tops.items() for k in range(top, len(b) + 1)}
+
+    def score(self, cut=None, drop=frozenset()) -> Fraction:
+        ran = self.ran - drop
+        kids = {v: [c for c in (v + "0", v + "1") if c in ran] for v in ran}
+        f, closed = {}, {}
+        for v in sorted(ran, key=len, reverse=True):
+            closed[v] = sum(f[c] for c in kids[v])
+            best, walk = closed[v], [(v, 0, 0)]
+            while walk:
+                p, s, off = walk.pop()
+                s += self.val.get(p, 0)
+                best = max(best, s * s + off + closed[p])
+                walk.extend((c, s, off + closed[p] - f[c]) for c in kids[p] if (p, c) != cut)
+            f[v] = best
+        roots = [v for v in ran if not v or v[:-1] not in ran]
+        return Fraction(sum(f[r] for r in roots), self.den * self.den)
+
+    def forced(self, top: str, bottom: str) -> Fraction:
+        """The best score of the partitions holding [top, bottom]: the walk
+        on the range without the segment's chain, plus s^2."""
+        chain = frozenset(bottom[:k] for k in range(len(top), len(bottom) + 1))
+        s = Fraction(sum(self.val.get(p, 0) for p in chain), self.den)
+        return self.score(drop=chain) + s * s
+
+
 @st.composite
 def dense_chains(draw) -> TreeVector:
     """Signed chains to depth 60 with most levels in the support, so the
@@ -1374,6 +1433,76 @@ def test_every_context_recomposes_the_norm(x):
         assert solver._total == max([closed + outside, *crossing])
 
 
+def _signed_chain(depth: int, seed: int) -> TreeVector:
+    """Every level of one branch, signed values with their own denominators."""
+    rng = random.Random(seed)
+    branch = format(rng.getrandbits(depth), f"0{depth}b")
+    return TreeVector.from_dict(
+        {branch[:k]: Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 6))
+         for k in range(depth + 1)},
+        max_depth=depth,
+    )
+
+
+@st.composite
+def deep_signed_chains(draw) -> TreeVector:
+    """Signed values with their own denominators on up to 40 levels of a
+    branch up to 500 deep."""
+    branch = draw(st.integers(1, 500).flatmap(_bits))
+    levels = draw(st.sets(st.integers(0, len(branch)), min_size=1, max_size=40))
+    value = st.builds(Fraction, st.integers(-3, 3).filter(bool), st.integers(1, 6))
+    return TreeVector.from_dict({branch[:k]: draw(value) for k in levels}, max_depth=500)
+
+
+@st.composite
+def signed_full_trees(draw, depth: int) -> TreeVector:
+    """Every node to the given depth, signed values with their own denominators."""
+    value = st.builds(Fraction, st.integers(-3, 3).filter(bool), st.integers(1, 6))
+    return TreeVector.from_dict({p: draw(value) for p in grid(depth)})
+
+
+class TestSegmentTopReferee:
+    """The DP's norm, every parent-child gap (through the public gap and
+    the parent-child separation scan), every isolation gap and the forced
+    gaps of `_forced_segments` equal `_SegmentTopReferee`'s, at sizes the
+    oracle refuses."""
+
+    @settings(max_examples=8, deadline=None, derandomize=True, database=None)
+    @given(deep_signed_chains())
+    @example(_signed_chain(500, 4))
+    def test_norm_on_deep_chains(self, x):
+        assert jt_norm_sq(x).norm_sq == _SegmentTopReferee(x).score()
+
+    @pytest.mark.parametrize("depth", [2, 5, 8])
+    def test_norm_on_full_trees(self, depth):
+        @settings(max_examples=4, deadline=None, derandomize=True, database=None)
+        @given(signed_full_trees(depth))
+        def check(x):
+            assert jt_norm_sq(x).norm_sq == _SegmentTopReferee(x).score()
+
+        check()
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(signed_vectors())
+    @example(FOREST)
+    @example(TreeVector.from_dict({"": "1/7", "00": "-1/2", "0010": "2/9", "1": "3/4"}))
+    def test_gaps_match_on_stretch_inputs(self, x):
+        ref, solver = _SegmentTopReferee(x), NormSolver(x)
+        n = ref.score()
+        ran = sorted(ref.ran, key=lambda p: (len(p), p))
+        expected = {
+            (Node(v[:-1]), Node(v)): n - ref.score(cut=(v[:-1], v))
+            for v in ran if v and v[:-1] in ref.ran
+        }
+        assert list(is_separated(x).pair_gaps.items()) == list(expected.items())
+        for (u, v), g in expected.items():
+            assert solver.gap(u, v) == g
+        for a in ran:
+            assert solver.isolation_gap(Node(a)) == n - ref.forced(a, a)
+        for seg in _forced_segments(x):
+            assert solver.forced_gap(seg) == n - ref.forced(seg.top.path, seg.bottom.path)
+
+
 # -- the range is built only by the queries that read it ---------------------
 
 
@@ -1405,19 +1534,19 @@ def wedge_or_chain_vectors(draw) -> TreeVector:
 
 def _skeleton_by_definition(supp) -> set[str]:
     """Reference: the support and every range node with two range children."""
-    ran = range_paths(supp)
+    ran = range_all_pairs(supp)
     return set(supp) | {p for p in ran if p + "0" in ran and p + "1" in ran}
 
 
 def _outside_nodes(solver: NormSolver) -> list[str]:
     """Children and parents of range nodes that lie outside the range."""
-    ran = range_paths(solver.supp)
+    ran = range_all_pairs(solver.supp)
     near = {p + bit for p in ran for bit in "01"} | {p[:-1] for p in ran if p}
     return sorted(near - ran)
 
 
-def _forbidden_range_paths(paths):
-    raise AssertionError("range_paths called")
+def _forbidden_stretches(skel):
+    raise AssertionError("ran(x) was built")
 
 
 _LAZY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -1435,13 +1564,13 @@ class TestLazyRange:
     @given(wedge_or_chain_vectors())
     def test_build_solve_and_norm_sq_never_build_the_range(self, x):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(jtx.norm, "range_paths", _forbidden_range_paths)
+            mp.setattr(jtx.tree, "_stretches", _forbidden_stretches)
             solver = NormSolver(x)
             result = solver.solve()
             assert "ran" not in solver.__dict__ and solver._ran is None
             assert solver.norm_sq() == result.norm_sq
             assert "ran" not in solver.__dict__ and solver._ran is None
-        assert solver.ran == range_paths(solver.supp)
+        assert solver.ran == range_paths(solver.supp) == range_all_pairs(solver.supp)
         assert type(solver.ran) is frozenset
         assert solver.ran is solver.ran  # built once, then kept
 

@@ -7,8 +7,10 @@ Claims:
       every segment pair of the depth-5 tree
     - complete_closure is the minimal interval-closed superset,
       idempotent and monotone
-    - range_paths equals the all-pairs definition of the range on
-      forests, sparse chains and full trees (hypothesis differential)
+    - range_paths, read off the skeleton, equals the all-pairs
+      definition of the range on forests, sparse chains and full trees
+      (hypothesis differential), on two roots below a zero node, on a
+      branch node off the support and on a 600-level chain with twigs
     - comparable_pairs scans exactly the strictly ordered pairs
     - node errors echo a path of ordinary length whole, and a long one
       cut short with its length; a path that is not a string is an
@@ -20,7 +22,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from helpers import grid, support_paths
+from helpers import grid, range_all_pairs, support_paths
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -215,24 +217,26 @@ class TestClosure:
             assert ca <= cb
 
 
-def _range_all_pairs(paths: set[str]) -> frozenset[str]:
-    """Reference range: every node between each comparable pair of members."""
-    out = set(paths)
-    for a in paths:
-        for b in paths:
-            if b.startswith(a):
-                out.update(b[:k] for k in range(len(a), len(b)))
-    return frozenset(out)
+# A 600-level chain with side branches: one forks above every chain
+# member, so it roots a component of its own, and two fork inside
+# support-free stretches, so branch nodes lie deep in the range.
+_CHAIN = "0110" * 150
+_CHAIN_WITH_TWIGS = [_CHAIN[:k] for k in (7, 150, 333, 600)] + [
+    _CHAIN[:k] + "10"[int(_CHAIN[k])] + "01" for k in (5, 200, 420)
+]
 
 
 class TestRangePaths:
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(support_paths(max_chain=40))
     @example(["00", "000", "01", "1", "100", "101"])  # three components
+    @example(["00", "01"])  # two roots below a zero node
+    @example(["", "00", "01"])  # "0" is a branch node off the support
+    @example(_CHAIN_WITH_TWIGS)
     @example([""])
     @example([])
     def test_matches_all_pairs_definition(self, paths):
-        expected = _range_all_pairs(set(paths))
+        expected = range_all_pairs(set(paths))
         assert range_paths(paths) == expected
         assert range_paths(reversed(sorted(paths))) == expected
         assert complete_closure(Node(p) for p in paths) == frozenset(
@@ -242,7 +246,7 @@ class TestRangePaths:
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(st.lists(st.text("01", max_size=8), max_size=12))
     def test_matches_on_arbitrary_path_sets(self, paths):
-        assert range_paths(paths) == _range_all_pairs(set(paths))
+        assert range_paths(paths) == range_all_pairs(set(paths))
 
 
 class TestPairScans:

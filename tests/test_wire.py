@@ -12,7 +12,8 @@ Claims:
       the correction loops it replaced on exact squares, half-ulp ties
       and random rationals
     - a vector document with a node key that is not a string, and a
-      partition or segment document of the wrong shape, raise InputError
+      partition or segment document of the wrong shape, raise InputError;
+      a long key is echoed cut short
     - format_rational and sqrt_decimal raise InputError on values past
       the interpreter's limit on integer text
 """
@@ -72,6 +73,13 @@ class TestVectorDocs:
     def test_node_keys_must_be_strings(self):
         with pytest.raises(InputError, match="^node keys must be strings, got 0$"):
             vector_from_doc({"vector": {0: "1"}})
+
+    def test_long_non_string_key_is_cut_short(self):
+        key = ("x" * 5000,)
+        with pytest.raises(InputError) as exc:
+            vector_from_doc({"vector": {key: "1"}})
+        shown = repr(key)[:200] + "... (5005 characters)"
+        assert str(exc.value) == "node keys must be strings, got " + shown
 
     def test_depth_cap(self):
         deep = {"vector": {"0" * 31: "1"}}
