@@ -8,7 +8,7 @@ drawn bold in the segment's color.
 from __future__ import annotations
 
 from .norm import Partition
-from .tree import Node, canonical_order
+from .tree import Node, canonical_order, parent_child_pairs
 from .vector import TreeVector, format_rational
 
 _PALETTE = [
@@ -48,16 +48,12 @@ def render_dot(x: TreeVector, partition: Partition | None = None) -> str:
         if n not in supp:
             attrs.append("style=dashed")
         lines.append(f'  "{n.path or "e"}" [{", ".join(attrs)}];')
-    have = set(ran)
-    for n in ran:
-        for c in n.children():
-            if c not in have:
-                continue
-            attrs = []
-            i = segment_of.get(n)
-            if i is not None and i == segment_of.get(c):
-                attrs = [f'color="{_color(i)}"', "penwidth=2"]
-            suffix = f' [{", ".join(attrs)}]' if attrs else ""
-            lines.append(f'  "{n.path or "e"}" -> "{c.path or "e"}"{suffix};')
+    for n, c in parent_child_pairs(ran):
+        attrs = []
+        i = segment_of.get(n)
+        if i is not None and i == segment_of.get(c):
+            attrs = [f'color="{_color(i)}"', "penwidth=2"]
+        suffix = f' [{", ".join(attrs)}]' if attrs else ""
+        lines.append(f'  "{n.path or "e"}" -> "{c.path or "e"}"{suffix};')
     lines.append("}")
     return "\n".join(lines) + "\n"

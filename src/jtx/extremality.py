@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
 
-from .errors import DomainError, InternalError
+from .errors import DomainError, InternalError, _shown
 from .greedy import SupportTree
 from .norm import NormSolver, enumerate_norming
 from .tree import Node, _forest, _skeleton, _stretches, canonical_order, comparable_pairs
@@ -86,35 +86,22 @@ class EqualSumsReport:
     sigma: Fraction
 
 
-def is_separated(
-    x: TreeVector, all_pairs: bool = False, stop_on_blocked: bool = False
-) -> SeparationReport:
+def is_separated(x: TreeVector, all_pairs: bool = False) -> SeparationReport:
     """Decide separation by scanning pair gaps over ran(x).
 
     The default scan covers parent-child pairs only, which decides the
-    property; all_pairs additionally scores every comparable pair.
-    stop_on_blocked abandons the scan at the first positive gap, leaving
-    pair_gaps partial.
+    property; all_pairs additionally scores every comparable pair. The
+    report holds the gap of every scanned pair. A caller that needs only
+    the verdict or the first blocked pair should call certify_extreme,
+    which stops at that pair.
     """
-    return _separation_scan(NormSolver(x), all_pairs, stop_on_blocked)
-
-
-def _separation_scan(
-    solver: NormSolver, all_pairs: bool, stop_on_blocked: bool
-) -> SeparationReport:
+    solver = NormSolver(x)
     if all_pairs:
         pairs = comparable_pairs(Node(p) for p in solver.ran)
-        scored = ((u, v, solver.gap(u, v)) for u, v in pairs)
+        gaps = {(u, v): solver.gap(u, v) for u, v in pairs}
     else:
-        scored = _edge_gaps(solver)
-    gaps: dict[Pair, Fraction] = {}
-    blocked: Optional[Pair] = None
-    for u, v, g in scored:
-        gaps[(u, v)] = g
-        if blocked is None and g and len(v.path) == len(u.path) + 1:
-            blocked = (u, v)
-            if stop_on_blocked:
-                break
+        gaps = {(u, v): g for u, v, g in _edge_gaps(solver)}
+    blocked = next(((u, v) for (u, v), g in gaps.items() if g and v.parent() == u), None)
     if blocked is None and any(gaps.values()):
         # cannot happen: a blocked comparable pair forces a blocked
         # parent-child pair (segments are convex)
@@ -165,11 +152,11 @@ def perturbation_witness(x: TreeVector, u: Node, v: Node) -> tuple[TreeVector, F
 
 def _perturbation(solver: NormSolver, u: Node, v: Node) -> tuple[TreeVector, Fraction]:
     if v.parent() != u:
-        raise DomainError(f"{v.path!r} is not a child of {u.path!r}")
+        raise DomainError(f"{_shown(repr(v.path))} is not a child of {_shown(repr(u.path))}")
     g = solver.gap(u, v)
     if g == 0:
         raise DomainError(
-            f"pair ({u.path!r}, {v.path!r}) is separable; no witness exists"
+            f"pair ({_shown(repr(u.path))}, {_shown(repr(v.path))}) is separable; no witness exists"
         )
     return _scaled_witness(solver, u, v, g)
 

@@ -133,7 +133,7 @@ def max_segment_sum(x: TreeVector, a: Node) -> Fraction:
     """
     x.require_positive("max_segment_sum")
     if a not in x.range():
-        raise DomainError(f"node {a.path!r} lies outside ran(x)")
+        raise DomainError(f"node {_shown(repr(a.path))} lies outside ran(x)")
     return SupportTree(x).s_at(a)
 
 
@@ -187,7 +187,7 @@ def recursive_norm_check(x: TreeVector, a: Node) -> bool:
     x.require_positive("recursive_norm_check")
     st = SupportTree(x)
     if a not in st.children:
-        raise DomainError(f"node {a.path!r} is not in supp(x)")
+        raise DomainError(f"node {_shown(repr(a.path))} is not in supp(x)")
     kids = st.children[a]
     lhs = NormSolver(x.wedge(a)).norm_sq()
     middle = 2 * x.value(a) * max((st.s[c] for c in kids), default=Fraction(0))
@@ -234,7 +234,7 @@ def forced_segment_is_norming(x: TreeVector, s: Segment) -> bool:
     head, b = s.top.path, s.bottom.path
     st = SupportTree(x)
     if head not in st._s or head in st._forest.up:
-        raise DomainError(f"segment top {head!r} is not a minimal support node")
+        raise DomainError(f"segment top {_shown(repr(head))} is not a minimal support node")
     total = sum(st._val.get(b[:k], 0) for k in range(len(head), len(b) + 1))
     if total != st._s[head]:
         raise DomainError("segment sum does not attain the maximal segment sum")

@@ -117,7 +117,9 @@ class Partition:
             stack.append(seg)
         if clashes:
             _, nearest, seg = min(clashes)
-            raise InvalidPartitionError(f"segments overlap: {nearest} and {seg}")
+            raise InvalidPartitionError(
+                f"segments overlap: {_shown(repr(nearest))} and {_shown(repr(seg))}"
+            )
 
     @classmethod
     def of(cls, *segments: Segment) -> Partition:
@@ -296,7 +298,7 @@ class NormSolver:
             raise DomainError("gap requires two distinct nodes")
         for n in (u, v):
             if n.path not in self.ran:
-                raise DomainError(f"node {n.path!r} lies outside ran(x)")
+                raise DomainError(f"node {_shown(repr(n.path))} lies outside ran(x)")
         if leq(u, v):
             upper, lower = u.path, v.path
         elif leq(v, u):
@@ -366,7 +368,7 @@ class NormSolver:
         """Raise on the first of the nodes, left to right, that lies outside ran(x)."""
         for node in nodes:
             if node.path not in self.ran:
-                raise DomainError(f"constraint node {node.path!r} lies outside ran(x)")
+                raise DomainError(f"constraint node {_shown(repr(node.path))} lies outside ran(x)")
 
     # -- scores -------------------------------------------------------------
 

@@ -94,7 +94,8 @@ class Segment:
     def __post_init__(self) -> None:
         if not leq(self.top, self.bottom):
             raise DomainError(
-                f"segment endpoints out of order: {self.top.path!r} !<= {self.bottom.path!r}"
+                "segment endpoints out of order: "
+                f"{_shown(repr(self.top.path))} !<= {_shown(repr(self.bottom.path))}"
             )
 
     def __contains__(self, node: Node) -> bool:
@@ -166,11 +167,9 @@ def parent_child_pairs(nodes: Iterable[Node]) -> list[tuple[Node, Node]]:
 
 
 def minimal_nodes(nodes: Iterable[Node]) -> list[Node]:
-    """Members with no strict ancestor in the set, in canonical order."""
-    paths = {n.path for n in nodes}
-    return canonical_order(
-        Node(p) for p in paths if not any(p[:k] in paths for k in range(len(p)))
-    )
+    """Members with no strict ancestor in the set, in canonical order:
+    the roots of the set's forest (_forest)."""
+    return canonical_order(Node(p) for p in _forest(sorted({n.path for n in nodes})).roots)
 
 
 class _Forest(NamedTuple):

@@ -102,7 +102,7 @@ class TreeVector:
         for key, value in entries.items():
             node = key if isinstance(key, Node) else parse_node(key, max_depth)
             if node in coerced:
-                raise InputError(f"duplicate entry for node {node.path!r}")
+                raise InputError(f"duplicate entry for node {_shown(repr(node.path))}")
             coerced[node] = value
         return cls(coerced)
 

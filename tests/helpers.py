@@ -4,13 +4,17 @@ Every generator takes an explicit random.Random so each test pins its
 own seed and the suite stays deterministic; `support_paths` is the
 hypothesis strategy shared by the differential suites, and
 `range_all_pairs` the range by its definition, for the references that
-must not rest on the engine's skeleton.
+must not rest on the engine's skeleton. `SegmentTopReferee` scores
+partitions without the engine's tables, and `extreme_by_zero_gap_graph`
+decides extremality from its scores alone; both read nothing of the
+engine but the vector's entries.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import lcm
 
 from hypothesis import strategies as st
 
@@ -53,6 +57,95 @@ def support_paths(draw, max_chain: int = 12) -> list[str]:
         levels = draw(st.sets(st.integers(0, len(branch)), min_size=1, max_size=6))
         return [branch[:k] for k in levels]
     return grid(draw(st.integers(2, 5)))
+
+
+class SegmentTopReferee:
+    """Exact squared norms by segment tops, kept as an independent referee
+    above the oracle cap: it shares no idea with the open-sum tables, and
+    scales the entries and builds the range on its own.
+
+    f(v), the best score of subtree(v), is the best of closed(v), the sum
+    of f over v's kids, and of s^2 + off + closed(b) over the segments
+    [v, b] of the range: a walk down every chain from v keeps the running
+    sum s and off, the f of the subtrees hanging off the chain. The norm
+    is the sum of f over the roots. The walk never steps down the edge
+    `cut`, and the nodes in `drop` leave the range, so a subtree below a
+    dropped node is a component of its own. Cost O(|ran| * depth) per
+    score.
+    """
+
+    def __init__(self, x: TreeVector):
+        self.den = lcm(*(v.denominator for _, v in x.items()))
+        self.val = {n.path: int(v * self.den) for n, v in x.items()}
+        tops = {b: next(k for k in range(len(b) + 1) if b[:k] in self.val) for b in self.val}
+        self.ran = {b[:k] for b, top in tops.items() for k in range(top, len(b) + 1)}
+
+    def score(self, cut=None, drop=frozenset()) -> Fraction:
+        ran = self.ran - drop
+        kids = {v: [c for c in (v + "0", v + "1") if c in ran] for v in ran}
+        f, closed = {}, {}
+        for v in sorted(ran, key=len, reverse=True):
+            closed[v] = sum(f[c] for c in kids[v])
+            best, walk = closed[v], [(v, 0, 0)]
+            while walk:
+                p, s, off = walk.pop()
+                s += self.val.get(p, 0)
+                best = max(best, s * s + off + closed[p])
+                walk.extend((c, s, off + closed[p] - f[c]) for c in kids[p] if (p, c) != cut)
+            f[v] = best
+        roots = [v for v in ran if not v or v[:-1] not in ran]
+        return Fraction(sum(f[r] for r in roots), self.den * self.den)
+
+    def forced(self, top: str, bottom: str) -> Fraction:
+        """The best score of the partitions holding [top, bottom]: the walk
+        on the range without the segment's chain, plus s^2."""
+        chain = frozenset(bottom[:k] for k in range(len(top), len(bottom) + 1))
+        s = Fraction(sum(self.val.get(p, 0) for p in chain), self.den)
+        return self.score(drop=chain) + s * s
+
+
+# The vertex of extreme_by_zero_gap_graph for P = 0, the parent of a
+# component root; it is no node path.
+BOTTOM = "bottom"
+
+
+def extreme_by_zero_gap_graph(x: TreeVector) -> bool:
+    """Extremality as connectivity of the zero-gap segment graph, read
+    off SegmentTopReferee's scores alone.
+
+    A perturbation y with ||x + y|| and ||x - y|| at most ||x|| sums to 0
+    on every segment of every norming partition and vanishes off ran(x)
+    (the extremality module docstring). The segments of the norming
+    partitions are the segments [a, b] of ran(x) with forced gap 0. With
+    P(v) the indicator of v's range ancestors and v, [a, b] is
+    P(b) - P(parent(a)), where P(parent(a)) is 0 (the vertex BOTTOM)
+    when a is a component root. The P(v) are a basis, so those segments
+    pin y = 0 iff the graph on ran(x) and BOTTOM, with an edge from
+    parent(a) or BOTTOM to b for each, is connected (union-find).
+    """
+    ref = SegmentTopReferee(x)
+    norm_sq = ref.score()
+    leader = {v: v for v in [*ref.ran, BOTTOM]}
+
+    def find(v: str) -> str:
+        while leader[v] != v:
+            leader[v] = leader[leader[v]]
+            v = leader[v]
+        return v
+
+    parts = len(leader)
+    for b in ref.ran:
+        for k in range(len(b), -1, -1):
+            a = b[:k]
+            if a not in ref.ran:
+                break  # ran(x) is convex, so no range node lies higher up
+            if ref.forced(a, b) == norm_sq:
+                above = a[:-1] if a and a[:-1] in ref.ran else BOTTOM
+                ends = find(above), find(b)
+                if ends[0] != ends[1]:
+                    leader[ends[0]] = ends[1]
+                    parts -= 1
+    return parts == 1
 
 
 # A generator whose bounds no draw meets gives up after this many draws.

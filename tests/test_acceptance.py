@@ -14,6 +14,11 @@ hold: sibling balance and an "extreme" certificate on every separated
 positive instance, and branch-sum equality on those with supp = ran.
 The unequal-sum instances are printed in the [PASS] line, and the
 counterexample is pinned explicitly, so the refutation stays visible.
+
+Criterion 9 referees the extremality verdicts with
+`helpers.extreme_by_zero_gap_graph`, which reads only the vector's
+entries. Its line prints how many of the seeded vectors are extreme and
+how many disagree; a disagreement fails the criterion.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from fractions import Fraction
 from helpers import (
     antichain_vector,
     chain_vector,
+    extreme_by_zero_gap_graph,
     full_tree_vector,
     incomparable_segments_vector,
     maximal_head_segment,
@@ -194,7 +200,7 @@ def test_criterion_5_characterization_suite():
     failures = []
     witnesses = 0
     for i, x in enumerate(_suite3()):
-        report = is_separated(x, stop_on_blocked=True)
+        report = is_separated(x)
         if report.separated:
             continue
         u, v = report.first_blocked_pair
@@ -293,7 +299,7 @@ def test_criterion_7_equal_sums_suite():
     complete_count = 0
     unequal: list[int] = []
     for i, x in enumerate(_suite2() + _suite4()):
-        if not is_separated(x, stop_on_blocked=True).separated:
+        if not is_separated(x).separated:
             continue
         separated_count += 1
         report = equal_sums_report(x)
@@ -349,3 +355,26 @@ def test_criterion_8_adjacent_pair_reduction():
             failures.append((i, x))
     _report("criterion 8: parent-child scan equals all-pairs scan", failures,
             time.monotonic() - t0)
+
+
+def test_criterion_9_zero_gap_graph_referee():
+    """The separation and certificate verdicts against the connectivity of
+    the zero-gap segment graph, which reads nothing of the engine but the
+    vector's entries; every disagreement is a failure."""
+    t0 = time.monotonic()
+    failures = []
+    rng = random.Random(7)
+    corpus = [random_signed(rng, max_depth=3, max_ran=9) for _ in range(300)]
+    corpus += [random_positive(rng, max_depth=3) for _ in range(300)]
+    extreme_count = 0
+    for i, x in enumerate(corpus):
+        extreme = extreme_by_zero_gap_graph(x)
+        extreme_count += extreme
+        if is_separated(x).separated != extreme:
+            failures.append((i, x, "is_separated disagrees", extreme))
+        if (certify_extreme(x).verdict == "extreme") != extreme:
+            failures.append((i, x, "certify_extreme disagrees", extreme))
+    _report("criterion 9: verdicts equal zero-gap graph connectivity", failures,
+            time.monotonic() - t0,
+            extra=f"{len(corpus)} vectors, {extreme_count} connected (extreme), "
+                  f"{len(failures)} disagreements")

@@ -16,10 +16,13 @@ Claims:
       at scales 2^-70 and 2^-200 too); certify_extreme builds one solver
     - the parent-child scan and certify_extreme read one memoised cut per
       skeleton node and match the ran-based scan kept as the reference
-      (pairs, order, gaps, first blocked pair, with and without
-      stop_on_blocked, and the certificate) on hypothesis signed vectors
+      (pairs, order, gaps, first blocked pair, and the certificate, which
+      stops at that pair) on hypothesis signed vectors
       with stretches and several components and on x_1..x_8; a
       certificate builds no range
+    - the separation and certificate verdicts equal the connectivity of
+      the zero-gap segment graph (helpers.extreme_by_zero_gap_graph),
+      which reads the vector's entries and nothing else of the engine
     - l2 equality forces separation and extremality; on single branches
       and incomparable-segment supports the converse holds too
     - isolation of every support node forces l2 equality
@@ -31,9 +34,9 @@ Claims:
       (hypothesis differentials on positive forests, sparse chains to
       depth 300 and full trees)
     - every report map iterates in canonical order of its keys: the pair
-      gaps of both scan modes, with and without stop_on_blocked, the
-      isolatable nodes, the branch sums (outer and inner), the sibling
-      balance and the greedy trace under both tie policies
+      gaps of both scan modes, the isolatable nodes, the branch sums
+      (outer and inner), the sibling balance and the greedy trace under
+      both tie policies
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ import pytest
 from helpers import (
     antichain_vector,
     chain_vector,
+    extreme_by_zero_gap_graph,
     full_tree_vector,
     incomparable_segments_vector,
     level_symmetric,
@@ -147,7 +151,7 @@ class TestPerturbationWitness:
         seen = 0
         for _ in range(60):
             x = random_signed(rng, max_depth=3, max_ran=9)
-            report = is_separated(x, stop_on_blocked=True)
+            report = is_separated(x)
             if report.separated:
                 continue
             seen += 1
@@ -180,7 +184,7 @@ class TestPerturbationWitness:
         xs += [TreeVector.from_dict({"": 1, "0": Fraction(1, 2**k)}) for k in (0, 5, 70, 200)]
         seen = 0
         for x in xs:
-            report = is_separated(x, stop_on_blocked=True)
+            report = is_separated(x)
             if report.separated:
                 continue
             seen += 1
@@ -405,16 +409,15 @@ TWO_STRETCHES = TreeVector.from_dict({"0": 2, "0" + "1" * 28: 1, "1": 1, "1" + "
 class TestScansOnCuts:
     """The parent-child scan and the certificate read one memoised cut per
     skeleton node and give what the ran-based scan gives: the same pairs in
-    the same order, the same gaps and first blocked pair, with and without
-    stop_on_blocked, and the same certificate."""
+    the same order, the same gaps and first blocked pair, and the same
+    certificate; certify_extreme stops at the first blocked pair as the
+    reference does when asked."""
 
     @staticmethod
     def _assert_matches_reference(x: TreeVector) -> None:
-        for stop_on_blocked in (False, True):
-            report = is_separated(x, stop_on_blocked=stop_on_blocked)
-            expected = _reference_scan(x, stop_on_blocked)
-            assert list(report.pair_gaps.items()) == list(expected.pair_gaps.items())
-            assert report == expected
+        report, expected = is_separated(x), _reference_scan(x)
+        assert list(report.pair_gaps.items()) == list(expected.pair_gaps.items())
+        assert report == expected
         if not x.is_zero():
             assert certify_extreme(x) == _reference_certificate(x)
 
@@ -430,6 +433,34 @@ class TestScansOnCuts:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_x_n(self, n):
         self._assert_matches_reference(full_tree_vector(n))
+
+
+@st.composite
+def small_valued(draw) -> TreeVector:
+    """Nonzero signed or positive values on forests, chains to depth 12
+    and full trees to depth 5."""
+    paths = draw(support_paths())
+    den = draw(st.integers(1, 4))
+    low = draw(st.sampled_from([1, -3]))
+    value = st.integers(low, 3).filter(bool).map(lambda k: Fraction(k, den))
+    return TreeVector.from_dict({p: draw(value) for p in paths})
+
+
+class TestZeroGapGraphReferee:
+    """The verdicts of is_separated and certify_extreme equal the
+    connectivity of the zero-gap segment graph, a decider that reads the
+    vector's entries and nothing else of the engine."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(small_valued())
+    @example(EX)
+    @example(TRIPOD)
+    @example(LEAF_BELOW_STRETCH)
+    @example(TreeVector.from_dict({"": "1/4", "1": 1, "00": 1}))
+    def test_verdicts_match_the_decider(self, x):
+        extreme = extreme_by_zero_gap_graph(x)
+        assert is_separated(x).separated == extreme
+        assert (certify_extreme(x).verdict == "extreme") == extreme
 
 
 class TestVanishes:
@@ -645,7 +676,7 @@ class TestEqualSums:
             x = level_symmetric(rng) if trial % 3 == 0 else random_positive(
                 rng, max_depth=3
             )
-            if not is_separated(x, stop_on_blocked=True).separated:
+            if not is_separated(x).separated:
                 continue
             found += 1
             for a, b in equal_sums_report(x).sibling_balance.values():
@@ -663,7 +694,7 @@ class TestEqualSums:
             )
             if x.support() != x.range():
                 continue
-            if not is_separated(x, stop_on_blocked=True).separated:
+            if not is_separated(x).separated:
                 continue
             found += 1
             assert equal_sums_report(x).holds, x
@@ -704,9 +735,7 @@ class TestReportsAreCanonical:
     @example(TreeVector.from_dict({"": 1, "0": 1, "1": 1, "00": 1, "01": -1, "10": 1}))
     def test_separation_and_isolation(self, x):
         for all_pairs in (False, True):
-            for stop_on_blocked in (False, True):
-                report = is_separated(x, all_pairs, stop_on_blocked)
-                assert _in_canonical_order(report.pair_gaps)
+            assert _in_canonical_order(is_separated(x, all_pairs).pair_gaps)
         assert _in_canonical_order(isolatable_nodes(x))
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)

@@ -6,7 +6,7 @@ Claims:
       on small families, hypothesis on nested, overlapping and
       same-top families), and its message equals the nearest-top dict
       scan's, which names the first offender in canonical order, also
-      with tops more than 500 levels deep
+      with tops more than 500 levels deep (compared uncut too)
     - the DP equals the brute-force oracle on every tested instance
     - witnesses are canonical, score their own norm, satisfy constraints
     - up to two forced segments (zero endpoints and chains inside
@@ -19,6 +19,8 @@ Claims:
     - constraint sets shrink the constrained optimum monotonically; a
       SeparatePair of one node and an object that is no constraint each
       raise DomainError, which echoes a long object cut short
+    - every library error that names a node path, a segment or a
+      partition's overlapping pair echoes a 5,000-bit path cut short
     - restriction to a complete subtree never increases the norm
     - parent-child gaps, node isolation and every forced segment
       answered from the cached tables equal the constrained DP, and the
@@ -78,10 +80,17 @@ import random
 import sys
 from collections import Counter
 from fractions import Fraction
-from math import lcm
+from unittest import mock
 
 import pytest
-from helpers import chain_vector, grid, random_signed, range_all_pairs, support_paths
+from helpers import (
+    SegmentTopReferee,
+    chain_vector,
+    grid,
+    random_signed,
+    range_all_pairs,
+    support_paths,
+)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -94,9 +103,11 @@ from jtx import (
     InfeasibleError,
     InvalidPartitionError,
     IsolateNode,
+    JtxError,
     Node,
     NormSolver,
     Partition,
+    ROOT,
     Segment,
     SeparatePair,
     TreeVector,
@@ -105,16 +116,21 @@ from jtx import (
     complete_closure,
     constrained_norm_sq,
     enumerate_norming,
+    forced_segment_is_norming,
     gap,
     is_separated,
     isolatable_nodes,
     jt_norm_sq,
     leq,
+    max_segment_sum,
     oracle_norm_sq,
     parent_child_pairs,
+    perturbation_witness,
+    recursive_norm_check,
     score,
     segments_disjoint,
 )
+from jtx.errors import _shown
 from jtx.norm import _NO_SEP
 from jtx.tree import range_paths
 from jtx.wire import norm_result_doc
@@ -204,18 +220,31 @@ def deep_segment_families(draw) -> list[Segment]:
     return segs
 
 
-def _by_top_scan_message(segments) -> str | None:
+def _by_top_scan_message(segments, shown=_shown) -> str | None:
     """Reference: the overlap report of the nearest-top scan Partition
     once ran, which looked each top's prefixes up in a dict, in
-    canonical order; None when no segments meet."""
+    canonical order, each segment echoed through shown; None when no
+    segments meet."""
     by_top: dict[str, Segment] = {}
     for seg in sorted(set(segments), key=Segment.sort_key):
         t = seg.top.path
         nearest = next((by_top[t[:k]] for k in range(len(t), -1, -1) if t[:k] in by_top), None)
         if nearest is not None and leq(seg.top, nearest.bottom):
-            return f"segments overlap: {nearest} and {seg}"
+            return f"segments overlap: {shown(repr(nearest))} and {shown(repr(seg))}"
         by_top[t] = seg
     return None
+
+
+def _overlap_message(segments) -> str | None:
+    try:
+        Partition(frozenset(segments))
+    except InvalidPartitionError as exc:
+        return str(exc)
+    return None
+
+
+def _uncut(text: str) -> str:
+    return text
 
 
 class TestPartitionValidation:
@@ -252,12 +281,11 @@ class TestPartitionValidation:
     @example([Segment(Node("0"), Node("0")), Segment(Node("0"), Node("00")),
               Segment(Node("0"), Node("01"))])
     def test_message_names_the_first_overlap_in_canonical_order(self, segments):
-        try:
-            Partition(frozenset(segments))
-            message = None
-        except InvalidPartitionError as exc:
-            message = str(exc)
-        assert message == _by_top_scan_message(segments)
+        assert _overlap_message(segments) == _by_top_scan_message(segments)
+        # segments 500 levels deep share the first 200 characters that an
+        # echo keeps, so the pair named is compared uncut as well
+        with mock.patch("jtx.norm._shown", _uncut):
+            assert _overlap_message(segments) == _by_top_scan_message(segments, _uncut)
 
 
 class TestJtNormSq:
@@ -531,6 +559,37 @@ def _draw_pair(rng: random.Random, ran: list[Node], forced: list[Segment]):
                       if leq(u, seg.top) and u != seg.top and leq(seg.bottom, v)
                       and v != seg.bottom]
     return (kind, rng.choice(candidates)) if candidates else None
+
+
+# A node path far deeper than any parsed input: an error that echoed it
+# whole would run past 5,000 characters.
+LONG = "0" * 5000
+ONE = TreeVector.from_dict({"": 1})
+
+# Each raises an error that names LONG, or a segment that holds it.
+_LONG_PATH_ERRORS = {
+    "gap": lambda: NormSolver(ONE).gap(ROOT, Node(LONG)),
+    "isolate-node": lambda: NormSolver(ONE).solve((IsolateNode(Node(LONG)),)),
+    "forced-gap": lambda: NormSolver(ONE).forced_gap(Segment(ROOT, Node(LONG))),
+    "not-a-child": lambda: perturbation_witness(ONE, ROOT, Node(LONG)),
+    "separable": lambda: perturbation_witness(
+        TreeVector.from_dict({LONG[:-1]: 1, LONG: -1}, max_depth=5000), Node(LONG[:-1]), Node(LONG)
+    ),
+    "max-segment-sum": lambda: max_segment_sum(ONE, Node(LONG)),
+    "recursive-norm-check": lambda: recursive_norm_check(ONE, Node(LONG)),
+    "forced-segment-head": lambda: forced_segment_is_norming(ONE, Segment(Node(LONG), Node(LONG))),
+    "segment-order": lambda: Segment(Node(LONG), ROOT),
+    "partition-overlap": lambda: Partition.of(Segment(ROOT, Node(LONG)), Segment(Node(LONG), Node(LONG))),
+    "duplicate-entry": lambda: TreeVector.from_dict({LONG: 1, Node(LONG): 2}, max_depth=5000),
+}
+
+
+@pytest.mark.parametrize("raise_it", _LONG_PATH_ERRORS.values(), ids=_LONG_PATH_ERRORS.keys())
+def test_long_paths_echo_cut_short(raise_it):
+    with pytest.raises(JtxError) as exc:
+        raise_it()
+    message = str(exc.value)
+    assert len(message) < 1000 and " characters)" in message
 
 
 class TestForcedSegmentsAgainstBruteForce:
@@ -1264,51 +1323,6 @@ class _PathRevisitSolver(NormSolver):
         return rest + table[2]
 
 
-class _SegmentTopReferee:
-    """Exact squared norms by segment tops, kept as an independent referee
-    above the oracle cap: it shares no idea with the open-sum tables, and
-    scales the entries and builds the range on its own.
-
-    f(v), the best score of subtree(v), is the best of closed(v), the sum
-    of f over v's kids, and of s^2 + off + closed(b) over the segments
-    [v, b] of the range: a walk down every chain from v keeps the running
-    sum s and off, the f of the subtrees hanging off the chain. The norm
-    is the sum of f over the roots. The walk never steps down the edge
-    `cut`, and the nodes in `drop` leave the range, so a subtree below a
-    dropped node is a component of its own. Cost O(|ran| * depth) per
-    score.
-    """
-
-    def __init__(self, x: TreeVector):
-        self.den = lcm(*(v.denominator for _, v in x.items()))
-        self.val = {n.path: int(v * self.den) for n, v in x.items()}
-        tops = {b: next(k for k in range(len(b) + 1) if b[:k] in self.val) for b in self.val}
-        self.ran = {b[:k] for b, top in tops.items() for k in range(top, len(b) + 1)}
-
-    def score(self, cut=None, drop=frozenset()) -> Fraction:
-        ran = self.ran - drop
-        kids = {v: [c for c in (v + "0", v + "1") if c in ran] for v in ran}
-        f, closed = {}, {}
-        for v in sorted(ran, key=len, reverse=True):
-            closed[v] = sum(f[c] for c in kids[v])
-            best, walk = closed[v], [(v, 0, 0)]
-            while walk:
-                p, s, off = walk.pop()
-                s += self.val.get(p, 0)
-                best = max(best, s * s + off + closed[p])
-                walk.extend((c, s, off + closed[p] - f[c]) for c in kids[p] if (p, c) != cut)
-            f[v] = best
-        roots = [v for v in ran if not v or v[:-1] not in ran]
-        return Fraction(sum(f[r] for r in roots), self.den * self.den)
-
-    def forced(self, top: str, bottom: str) -> Fraction:
-        """The best score of the partitions holding [top, bottom]: the walk
-        on the range without the segment's chain, plus s^2."""
-        chain = frozenset(bottom[:k] for k in range(len(top), len(bottom) + 1))
-        s = Fraction(sum(self.val.get(p, 0) for p in chain), self.den)
-        return self.score(drop=chain) + s * s
-
-
 @st.composite
 def dense_chains(draw) -> TreeVector:
     """Signed chains to depth 60 with most levels in the support, so the
@@ -1464,21 +1478,21 @@ def signed_full_trees(draw, depth: int) -> TreeVector:
 class TestSegmentTopReferee:
     """The DP's norm, every parent-child gap (through the public gap and
     the parent-child separation scan), every isolation gap and the forced
-    gaps of `_forced_segments` equal `_SegmentTopReferee`'s, at sizes the
+    gaps of `_forced_segments` equal `SegmentTopReferee`'s, at sizes the
     oracle refuses."""
 
     @settings(max_examples=8, deadline=None, derandomize=True, database=None)
     @given(deep_signed_chains())
     @example(_signed_chain(500, 4))
     def test_norm_on_deep_chains(self, x):
-        assert jt_norm_sq(x).norm_sq == _SegmentTopReferee(x).score()
+        assert jt_norm_sq(x).norm_sq == SegmentTopReferee(x).score()
 
     @pytest.mark.parametrize("depth", [2, 5, 8])
     def test_norm_on_full_trees(self, depth):
         @settings(max_examples=4, deadline=None, derandomize=True, database=None)
         @given(signed_full_trees(depth))
         def check(x):
-            assert jt_norm_sq(x).norm_sq == _SegmentTopReferee(x).score()
+            assert jt_norm_sq(x).norm_sq == SegmentTopReferee(x).score()
 
         check()
 
@@ -1487,7 +1501,7 @@ class TestSegmentTopReferee:
     @example(FOREST)
     @example(TreeVector.from_dict({"": "1/7", "00": "-1/2", "0010": "2/9", "1": "3/4"}))
     def test_gaps_match_on_stretch_inputs(self, x):
-        ref, solver = _SegmentTopReferee(x), NormSolver(x)
+        ref, solver = SegmentTopReferee(x), NormSolver(x)
         n = ref.score()
         ran = sorted(ref.ran, key=lambda p: (len(p), p))
         expected = {

@@ -12,6 +12,8 @@ Claims:
       (hypothesis differential), on two roots below a zero node, on a
       branch node off the support and on a 600-level chain with twigs
     - comparable_pairs scans exactly the strictly ordered pairs
+    - minimal_nodes, read off the forest's roots, equals the members with
+      no strict ancestor in the set (hypothesis differential)
     - node errors echo a path of ordinary length whole, and a long one
       cut short with its length; a path that is not a string is an
       InputError, from Node and from parse_node
@@ -274,4 +276,12 @@ class TestPairScans:
 
     def test_minimal_nodes(self):
         assert minimal_nodes(_nodes("0", "00", "1")) == _nodes("0", "1")
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(support_paths())
+    @example(["00", "01", "00"])
+    @example(["", "0", "1"])
+    def test_minimal_nodes_by_definition(self, paths):
+        expected = [p for p in set(paths) if not any(p[:k] in paths for k in range(len(p)))]
+        assert minimal_nodes(_nodes(*paths)) == canonical_order(_nodes(*expected))
         assert canonical_order(_nodes("1", "00", "", "0")) == _nodes("", "0", "1", "00")
