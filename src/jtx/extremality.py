@@ -45,10 +45,9 @@ from fractions import Fraction
 from typing import Iterator, Optional
 
 from .errors import DomainError, InternalError, _shown
-from .greedy import SupportTree
 from .norm import NormSolver, enumerate_norming
 from .tree import Node, _forest, _skeleton, _stretches, canonical_order, comparable_pairs
-from .vector import TreeVector
+from .vector import SupportTree, TreeVector
 
 Pair = tuple[Node, Node]
 
@@ -97,7 +96,7 @@ def is_separated(x: TreeVector, all_pairs: bool = False) -> SeparationReport:
     """
     solver = NormSolver(x)
     if all_pairs:
-        pairs = comparable_pairs(Node(p) for p in solver.ran)
+        pairs = comparable_pairs(Node._of(p) for p in solver.ran)
         gaps = {(u, v): solver.gap(u, v) for u, v in pairs}
     else:
         gaps = {(u, v): g for u, v, g in _edge_gaps(solver)}
@@ -128,8 +127,8 @@ def _edge_gaps(solver: NormSolver) -> Iterator[tuple[Node, Node, Fraction]]:
     for _, v, d in edges:
         if d not in gap_at:
             gap_at[d] = solver._stretch_gap(d)
-        node[v] = Node(v)
-        yield node.get(v[:-1]) or Node(v[:-1]), node[v], gap_at[d]
+        node[v] = Node._of(v)
+        yield node.get(v[:-1]) or Node._of(v[:-1]), node[v], gap_at[d]
 
 
 def perturbation_witness(x: TreeVector, u: Node, v: Node) -> tuple[TreeVector, Fraction]:

@@ -5,98 +5,33 @@ top-down: from each segment head, keep linking to an induced support
 child with the largest maximal downward segment sum (the "heaviest"
 child). "Children" here are induced support children, the minimal
 support nodes strictly below a node; the ambient tree's children play
-no role in this module. `SupportTree` derives the maximal downward
-segment sums once per vector, bottom-up over the support's paths, as
-integers scaled by the entries' common denominator (as `NormSolver`
-scales them); every operation compares those integers on paths and
-makes a `Node` or a `Fraction` only for what it returns. Two
-`Fraction`s are equal iff their scaled integers are, so ties stay exact.
+no role in this module. `SupportTree` (in vector.py, below norm.py,
+whose jt_norm_sq walks it too) derives the maximal downward segment
+sums once per vector, bottom-up over the support's paths, as integers scaled by the
+entries' common denominator (as `NormSolver` scales them); every
+operation compares those integers on paths and makes a `Node` or a
+`Fraction` only for what it returns. Two `Fraction`s are equal iff
+their scaled integers are, so ties stay exact.
+
+greedy_partition and jt_norm_sq run one heaviest-child walk
+(norm._heaviest_walk) and differ only in the tie pick: lex-min and
+lex-max take the first and the last tie in canonical order, jt_norm_sq
+the first in lexicographic order. The greedy trace keeps the walk's
+picks as paths and builds its maps of Nodes and Fractions on first read.
 
 All operations reject signed vectors rather than guessing semantics.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from typing import Optional
 
 from .errors import DomainError, _shown
-from .norm import NormSolver, Partition
-from .tree import Node, Segment, _forest
-from .vector import TreeVector
-
-
-class SupportTree:
-    """The support of a vector as a forest under the induced-child relation.
-
-    S(n) is the maximal downward segment sum at support node n. _s maps
-    each support path to S times _den, the entries' common denominator,
-    and _forest links the support paths. Its kids lists are in
-    lexicographic order, so a stable sort by length puts them in
-    canonical order. The Node views nodes (canonical order), paths,
-    parent, children, roots and s (s[n] is S(n)) are built on first read.
-    """
-
-    def __init__(self, x: TreeVector):
-        self._val, self._den = x._scaled()
-        self._forest = _forest(sorted(self._val))
-        kids = self._forest.kids
-        s: dict[str, int] = {}
-        # lexicographic order puts every path after its ancestors
-        for p in reversed(self._forest.order):
-            s[p] = self._val[p] + max(0, max((s[c] for c in kids[p]), default=0))
-        self._s = s
-
-    @cached_property
-    def _node(self) -> dict[str, Node]:
-        return {p: Node(p) for p in self._forest.order}
-
-    @cached_property
-    def nodes(self) -> list[Node]:
-        return sorted(self._node.values(), key=Node.sort_key)
-
-    @cached_property
-    def paths(self) -> set[str]:
-        return set(self._s)
-
-    @cached_property
-    def parent(self) -> dict[Node, Optional[Node]]:
-        up, node = self._forest.up, self._node
-        return {n: node[up[n.path]] if n.path in up else None for n in self.nodes}
-
-    @cached_property
-    def children(self) -> dict[Node, list[Node]]:
-        kids, node = self._forest.kids, self._node
-        return {n: [node[c] for c in kids[n.path]] for n in self.nodes}
-
-    @cached_property
-    def roots(self) -> list[Node]:
-        return [self._node[r] for r in self._forest.roots]
-
-    @cached_property
-    def s(self) -> dict[Node, Fraction]:
-        return {n: Fraction(self._s[n.path], self._den) for n in reversed(self.nodes)}
-
-    def s_at(self, a: Node) -> Fraction:
-        """The largest S over the support nodes in the wedge at a; 0 if none.
-
-        S strictly decreases down every chain of a positive vector, so the
-        maximum sits on a minimal support node of the wedge. The first
-        support path at or after a in sorted order is one when it has a as
-        a prefix: the wedge's paths follow a contiguously, ancestors first.
-        The others share its parent in the forest (or are roots with it);
-        when a is in the support, it is the only one.
-        """
-        f, a = self._forest, a.path
-        i = bisect_left(f.order, a)
-        if i == len(f.order) or not f.order[i].startswith(a):
-            return Fraction(0)
-        above = f.up.get(f.order[i])
-        heads = f.roots if above is None else f.kids[above]
-        return Fraction(max(self._s[h] for h in heads if h.startswith(a)), self._den)
+from .norm import NormSolver, Partition, _heaviest_walk
+from .tree import Node, Segment
+from .vector import SupportTree, TreeVector
 
 
 @dataclass
@@ -105,12 +40,39 @@ class GreedyTrace:
 
     s_values holds the maximal downward segment sum at every support
     node; tie_sets holds all heaviest children, so a consistency check
-    can accept any maximal choice, not just the one taken.
+    can accept any maximal choice, not just the one taken. A trace that
+    greedy_partition returns holds only its support tree and the walk's
+    picks, as paths, and builds each map on its first read.
     """
 
     s_values: dict[Node, Fraction] = field(default_factory=dict)
     chosen: dict[Node, Optional[Node]] = field(default_factory=dict)
     tie_sets: dict[Node, tuple[Node, ...]] = field(default_factory=dict)
+
+    @classmethod
+    def _of_walk(cls, st: SupportTree, pick: dict[str, str]) -> GreedyTrace:
+        trace = object.__new__(cls)
+        trace._walk = st, pick
+        return trace
+
+    def __getattr__(self, name: str):
+        """Build a map of a walk's trace; reached only while it is unset."""
+        if name not in ("s_values", "chosen", "tie_sets") or "_walk" not in self.__dict__:
+            raise AttributeError(name)
+        st, pick = self._walk
+        s, kids, node = st._s, st._forest.kids, st._node
+        if name == "s_values":
+            value = {n: Fraction(s[n.path], st._den) for n in st.nodes}
+        elif name == "chosen":
+            value = {n: node[pick[n.path]] if n.path in pick else None for n in st.nodes}
+        else:
+            value = {}
+            for n in st.nodes:
+                top = max((s[c] for c in kids[n.path]), default=0)
+                ties = sorted((c for c in kids[n.path] if s[c] == top), key=len)
+                value[n] = tuple(node[c] for c in ties)
+        setattr(self, name, value)
+        return value
 
 
 @dataclass(frozen=True)
@@ -151,30 +113,12 @@ def greedy_partition(
     if tie_policy not in ("lex-min", "lex-max"):
         raise DomainError(f"unknown tie policy {_shown(repr(tie_policy))}")
     st = SupportTree(x)
-    kids, s, node = st._forest.kids, st._s, st._node
-    trace = GreedyTrace()
-    # phase 1: each support node, in canonical order, records its heaviest children
-    # and picks one of them
-    pick: dict[str, str] = {}
-    for p in sorted(st._forest.order, key=len):
-        n = node[p]
-        trace.s_values[n] = Fraction(s[p], st._den)
-        top = max((s[c] for c in kids[p]), default=0)
-        ties = sorted((c for c in kids[p] if s[c] == top), key=len)
-        trace.tie_sets[n] = tuple(node[c] for c in ties)
-        if ties:
-            pick[p] = ties[0] if tie_policy == "lex-min" else ties[-1]
-        trace.chosen[n] = node[pick[p]] if ties else None
-    # phase 2: every node no node picked heads a segment, which follows the picks down
-    picked = set(pick.values())
-    segments = []
-    for head in st._forest.order:
-        if head not in picked:
-            bottom = head
-            while bottom in pick:
-                bottom = pick[bottom]
-            segments.append(Segment(node[head], node[bottom]))
-    return Partition(frozenset(segments)), trace
+    # canonical order is by length, then lexicographic: lex-min takes the
+    # shortest tie, the first in lexicographic order among those; lex-max
+    # the longest, the last in lexicographic order among those
+    tie = (lambda c: -len(c)) if tie_policy == "lex-min" else (lambda c: (len(c), c))
+    partition, pick = _heaviest_walk(st, tie)
+    return partition, GreedyTrace._of_walk(st, pick)
 
 
 def recursive_norm_check(x: TreeVector, a: Node) -> bool:

@@ -62,6 +62,18 @@ chain leaves the forest, every subtree hanging off it becomes a
 component of its own, and the segment adds its s^2. Separation masks
 are therefore the one constraint the tables see.
 
+On a positive vector, jt_norm_sq skips the DP and takes the paper's
+characterization of positive vectors: SupportTree computes S(n), the
+largest sum of a downward segment from each support node n, and one
+heaviest-child walk (_heaviest_walk) links each support node to an
+induced child of largest S. Each node that no node picked heads a
+segment, which sums to S(head), so the squared norm is the sum of
+S(h)^2 over the heads. On a tie of S, jt_norm_sq picks the first child
+in lexicographic (bit-0 first) order, as the DP's witness does, and
+greedy_partition picks by its tie policy. NormSolver stays the DP for
+every input and referees the walk in the tests: norm and witness have
+been equal on every positive vector tried, an empirical equality.
+
 A brute-force oracle enumerates all canonical families outright on
 small instances and shares no shortcut with the dynamic program.
 
@@ -78,11 +90,11 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Union
+from typing import Callable, Iterable, Union
 
 from .errors import CapError, DomainError, InfeasibleError, InvalidPartitionError, _shown
 from .tree import Node, Segment, _Forest, _expand, _forest, _skeleton, leq, segments_disjoint
-from .vector import TreeVector
+from .vector import SupportTree, TreeVector
 
 # Exhaustive family enumeration grows super-exponentially; refuse above this
 # many range nodes unless the caller raises the cap explicitly.
@@ -124,6 +136,13 @@ class Partition:
     @classmethod
     def of(cls, *segments: Segment) -> Partition:
         return cls(frozenset(segments))
+
+    @classmethod
+    def _of(cls, segments: frozenset[Segment]) -> Partition:
+        """A family the engine built disjoint, so it is not checked again."""
+        part = object.__new__(cls)
+        object.__setattr__(part, "segments", segments)
+        return part
 
     def sorted_segments(self) -> list[Segment]:
         return sorted(self.segments, key=Segment.sort_key)
@@ -285,7 +304,8 @@ class NormSolver:
         sep, forced = self._normalize(constraints)
         forest, tables = self._solve(sep, forced)
         segments = forced + self._reconstruct(forest, tables, sep)
-        return NormResult(self._score(forced, forest, tables), Partition(frozenset(segments)))
+        # the DP cuts each forced segment out, and _normalize checked them disjoint
+        return NormResult(self._score(forced, forest, tables), Partition._of(frozenset(segments)))
 
     def norm_sq(self, constraints: Iterable[Constraint] = ()) -> Fraction:
         """solve(constraints).norm_sq, without building the witness."""
@@ -612,7 +632,7 @@ class NormSolver:
                 xv, start_mask = self.val.get(p, 0), sep.lower_at.get(p, ())
                 sc = opens[key]
                 if p in self.supp and key == (xv, start_mask) and sc == done:
-                    segments.append(Segment(Node(top), Node(p)))
+                    segments.append(Segment._of(Node._of(top), Node._of(p)))
                     break
                 s, mask = key
                 if start_mask:
@@ -628,12 +648,55 @@ class NormSolver:
         return segments
 
 
+# -- the positive layer ------------------------------------------------------
+
+
+def _heaviest_walk(st: SupportTree, tie: Callable[[str], object]) -> tuple[Partition, dict[str, str]]:
+    """The heaviest-child partition of a positive vector, and each node's pick.
+
+    Every support node with induced children picks one of largest S;
+    among those, one of largest tie(path), and the first in
+    lexicographic (bit-0 first) order on a tie of both. Each node that
+    no node picked heads a segment that follows the picks down. S(p) is
+    x(p) plus S of p's pick, so that segment sums to S(head).
+    """
+    s = st._s
+
+    def rank(c: str) -> tuple:
+        return s[c], tie(c)
+
+    pick = {p: max(kids, key=rank) for p, kids in st._forest.kids.items() if kids}
+    picked = set(pick.values())
+    segments = []
+    for head in st._forest.order:
+        if head not in picked:
+            bottom = head
+            while bottom in pick:
+                bottom = pick[bottom]
+            segments.append(Segment._of(Node._of(head), Node._of(bottom)))
+    return Partition._of(frozenset(segments)), pick
+
+
 # -- public operations ------------------------------------------------------
 
 
 def jt_norm_sq(x: TreeVector) -> NormResult:
-    """Squared JT norm with a maximizing canonical partition as witness."""
-    return NormSolver(x).solve()
+    """Squared JT norm with a maximizing canonical partition as witness.
+
+    A positive vector (the zero vector included) takes the paper's
+    characterization of positive vectors instead of the DP: one
+    heaviest-child walk over its SupportTree, with ties of S broken
+    toward the first induced child in lexicographic (bit-0 first) order.
+    The squared norm is the sum of S(h)^2 over the walk's segment heads
+    h. NormSolver(x).solve() stays the DP, and gives the same norm and
+    witness on every positive vector tested. Other vectors take the DP.
+    """
+    if not x.is_positive():
+        return NormSolver(x).solve()
+    st = SupportTree(x)
+    witness, _ = _heaviest_walk(st, lambda c: 0)
+    total = sum(st._s[seg.top.path] ** 2 for seg in witness.segments)
+    return NormResult(Fraction(total, st._den * st._den), witness)
 
 
 def constrained_norm_sq(

@@ -44,6 +44,14 @@ class Node:
         if not set(self.path) <= _BITS:
             raise InputError(f"node path must consist of 0/1 bits, got {_shown(repr(self.path))}")
 
+    @classmethod
+    def _of(cls, path: str) -> Node:
+        """A node on a bit string the engine took from other nodes' paths,
+        so it is not checked again; outside input goes through __init__."""
+        node = object.__new__(cls)
+        object.__setattr__(node, "path", path)
+        return node
+
     @property
     def depth(self) -> int:
         return len(self.path)
@@ -97,6 +105,15 @@ class Segment:
                 "segment endpoints out of order: "
                 f"{_shown(repr(self.top.path))} !<= {_shown(repr(self.bottom.path))}"
             )
+
+    @classmethod
+    def _of(cls, top: Node, bottom: Node) -> Segment:
+        """A segment whose top the engine knows to be at or above its
+        bottom, so it is not checked again."""
+        seg = object.__new__(cls)
+        object.__setattr__(seg, "top", top)
+        object.__setattr__(seg, "bottom", bottom)
+        return seg
 
     def __contains__(self, node: Node) -> bool:
         return leq(self.top, node) and leq(node, self.bottom)

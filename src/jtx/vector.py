@@ -4,12 +4,18 @@ Zero entries are dropped at construction, all values are
 `fractions.Fraction`, and vectors are immutable, so every downstream
 decision (separation, tie detection, certificate checks) can rely on
 exact equality. No floating point appears anywhere on a decision path.
+
+SupportTree, the support as a forest with each node's maximal downward
+segment sum, sits here, below norm.py and greedy.py: jt_norm_sq and
+greedy_partition both walk it.
 """
 
 from __future__ import annotations
 
 import sys
+from bisect import bisect_left
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from typing import Iterable, Iterator, Mapping, Union
 
@@ -18,6 +24,7 @@ from .tree import (
     DEFAULT_MAX_DEPTH,
     Node,
     Segment,
+    _forest,
     complete_closure,
     leq,
     parse_node,
@@ -192,3 +199,73 @@ class TreeVector:
     def __repr__(self) -> str:
         body = ", ".join(f"{n.path!r}: {v}" for n, v in self.items())
         return f"TreeVector({{{body}}})"
+
+
+class SupportTree:
+    """The support of a vector as a forest under the induced-child relation.
+
+    S(n) is the maximal downward segment sum at support node n. _s maps
+    each support path to S times _den, the entries' common denominator,
+    and _forest links the support paths. Its kids lists are in
+    lexicographic order, so a stable sort by length puts them in
+    canonical order. The Node views nodes (canonical order), paths,
+    parent, children, roots and s (s[n] is S(n)) are built on first read.
+    """
+
+    def __init__(self, x: TreeVector):
+        self._val, self._den = x._scaled()
+        self._forest = _forest(sorted(self._val))
+        kids = self._forest.kids
+        s: dict[str, int] = {}
+        # lexicographic order puts every path after its ancestors
+        for p in reversed(self._forest.order):
+            s[p] = self._val[p] + max(0, max((s[c] for c in kids[p]), default=0))
+        self._s = s
+
+    @cached_property
+    def _node(self) -> dict[str, Node]:
+        return {p: Node._of(p) for p in self._forest.order}
+
+    @cached_property
+    def nodes(self) -> list[Node]:
+        return sorted(self._node.values(), key=Node.sort_key)
+
+    @cached_property
+    def paths(self) -> set[str]:
+        return set(self._s)
+
+    @cached_property
+    def parent(self) -> dict[Node, Node | None]:
+        up, node = self._forest.up, self._node
+        return {n: node[up[n.path]] if n.path in up else None for n in self.nodes}
+
+    @cached_property
+    def children(self) -> dict[Node, list[Node]]:
+        kids, node = self._forest.kids, self._node
+        return {n: [node[c] for c in kids[n.path]] for n in self.nodes}
+
+    @cached_property
+    def roots(self) -> list[Node]:
+        return [self._node[r] for r in self._forest.roots]
+
+    @cached_property
+    def s(self) -> dict[Node, Fraction]:
+        return {n: Fraction(self._s[n.path], self._den) for n in reversed(self.nodes)}
+
+    def s_at(self, a: Node) -> Fraction:
+        """The largest S over the support nodes in the wedge at a; 0 if none.
+
+        S strictly decreases down every chain of a positive vector, so the
+        maximum sits on a minimal support node of the wedge. The first
+        support path at or after a in sorted order is one when it has a as
+        a prefix: the wedge's paths follow a contiguously, ancestors first.
+        The others share its parent in the forest (or are roots with it);
+        when a is in the support, it is the only one.
+        """
+        f, a = self._forest, a.path
+        i = bisect_left(f.order, a)
+        if i == len(f.order) or not f.order[i].startswith(a):
+            return Fraction(0)
+        above = f.up.get(f.order[i])
+        heads = f.roots if above is None else f.kids[above]
+        return Fraction(max(self._s[h] for h in heads if h.startswith(a)), self._den)

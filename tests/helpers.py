@@ -227,6 +227,17 @@ def random_mixed(
     )
 
 
+def tie_heavy(rng: random.Random, max_depth: int = 5) -> TreeVector:
+    """Positive vector on a random subset of a grid of depth <= max_depth
+    with values from {1, 1, 1, 2}, so equal maximal segment sums S are
+    common, across depths too; the zero vector is among its draws."""
+    depth = rng.randint(0, max_depth)
+    density = rng.uniform(0.2, 0.9)
+    return TreeVector.from_dict(
+        {p: rng.choice((1, 1, 1, 2)) for p in grid(depth) if rng.random() < density}
+    )
+
+
 def level_symmetric(rng: random.Random, max_depth: int = 3) -> TreeVector:
     """Full tree with one positive value per level (hence separated)."""
     depth = rng.randint(0, max_depth)

@@ -19,6 +19,13 @@ Criterion 9 referees the extremality verdicts with
 `helpers.extreme_by_zero_gap_graph`, which reads only the vector's
 entries. Its line prints how many of the seeded vectors are extreme and
 how many disagree; a disagreement fails the criterion.
+
+Criterion 10 referees jt_norm_sq's positive path, one heaviest-child
+walk, with the DP that NormSolver runs on every input. Its line prints
+how many of the seeded positive vectors have a tie of S, on how many
+the greedy lex-min partition differs from the walk's witness (the two
+tie picks differ), and how many disagree with the DP; a disagreement
+fails the criterion. The equality is empirical.
 """
 
 from __future__ import annotations
@@ -34,12 +41,15 @@ from helpers import (
     full_tree_vector,
     incomparable_segments_vector,
     maximal_head_segment,
+    random_mixed,
     random_positive,
     random_signed,
+    tie_heavy,
 )
 
 from jtx import (
     Node,
+    NormSolver,
     Partition,
     Segment,
     TreeVector,
@@ -378,3 +388,26 @@ def test_criterion_9_zero_gap_graph_referee():
             time.monotonic() - t0,
             extra=f"{len(corpus)} vectors, {extreme_count} connected (extreme), "
                   f"{len(failures)} disagreements")
+
+
+def test_criterion_10_positive_walk_equals_dp():
+    """jt_norm_sq's heaviest-child walk against NormSolver(x).solve() on
+    positive vectors, norm and witness; every disagreement is a failure."""
+    t0 = time.monotonic()
+    failures = []
+    rng = random.Random(24)
+    corpus = [random_positive(rng, max_depth=6) for _ in range(300)]
+    corpus += [random_mixed(rng, max_depth=5, max_ran=40) for _ in range(300)]
+    corpus += [tie_heavy(rng, max_depth=5) for _ in range(600)]
+    tied = picks_differ = 0
+    for i, x in enumerate(corpus):
+        walk = jt_norm_sq(x)
+        if walk != NormSolver(x).solve():
+            failures.append((i, x))
+        partition, trace = greedy_partition(x)
+        tied += any(len(ties) > 1 for ties in trace.tie_sets.values())
+        picks_differ += partition != walk.witness
+    _report("criterion 10: positive norms by the heaviest-child walk equal the DP",
+            failures, time.monotonic() - t0,
+            extra=f"{len(corpus)} vectors, {tied} with a tie of S, {picks_differ} where "
+                  f"lex-min picks otherwise, {len(failures)} disagreements")

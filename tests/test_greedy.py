@@ -12,8 +12,13 @@ Claims:
     - forcing a maximal head segment at a minimal support node keeps the
       norm attainable
     - all tie branches of the greedy walk score identically
-    - the walk's trace equals the per-node pre-pass it replaced, and an
-      unknown tie policy is a DomainError that echoes a long one cut short
+    - the walk's trace equals the per-node pre-pass it replaced, builds
+      each map on its first read, and an unknown tie policy is a
+      DomainError that echoes a long one cut short
+    - on positive vectors, jt_norm_sq's heaviest-child walk gives the
+      DP's norm and witness byte for byte (NormSolver(x).solve()), also on
+      tie-heavy grids and forests with branch nodes off the support; this
+      equality is empirical
 """
 
 from __future__ import annotations
@@ -23,13 +28,21 @@ import random
 from fractions import Fraction
 
 import pytest
-from helpers import maximal_head_segment, random_positive, support_paths
+from helpers import (
+    MIXED_DENOMINATORS,
+    maximal_head_segment,
+    random_positive,
+    support_paths,
+    tie_heavy,
+)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jtx import (
     DomainError,
+    GreedyTrace,
     Node,
+    NormSolver,
     Partition,
     PositivityError,
     Segment,
@@ -48,6 +61,7 @@ from jtx import (
     segments_disjoint,
 )
 from jtx.greedy import GreedyViolation
+from jtx.wire import norm_result_doc
 
 EX = TreeVector.from_dict({"": 1, "00": 1, "01": 1})
 LOPSIDED = TreeVector.from_dict({"": 1, "0": 2, "1": 1})
@@ -173,6 +187,21 @@ class TestGreedyPartition:
             assert trace.tie_sets == ties
             assert trace.chosen == {n: t[pick] if t else None for n, t in ties.items()}
 
+    def test_trace_maps_built_on_first_read(self):
+        """A trace holds the walk's picks until a map is read; then it
+        equals the trace built field by field, as a keyword trace does."""
+        _, trace = greedy_partition(EX)
+        assert not {"s_values", "chosen", "tie_sets"} & set(vars(trace))
+        assert trace.tie_sets[Node("")] == (Node("00"), Node("01"))
+        assert "tie_sets" in vars(trace) and "s_values" not in vars(trace)
+        assert trace == GreedyTrace(
+            s_values={Node(""): 2, Node("00"): 1, Node("01"): 1},
+            chosen={Node(""): Node("00"), Node("00"): None, Node("01"): None},
+            tie_sets={Node(""): (Node("00"), Node("01")), Node("00"): (), Node("01"): ()},
+        )
+        with pytest.raises(AttributeError):
+            trace.missing
+
     def test_greedy_attains_norm_randomly(self):
         rng = random.Random(32)
         for _ in range(80):
@@ -208,6 +237,43 @@ class TestGreedyPartition:
                             cur = nxt
                         segments.append(Segment(h, cur))
                 assert score(x, Partition(frozenset(segments))) == target
+
+
+@st.composite
+def positive_forests(draw) -> TreeVector:
+    """Positive values with mixed denominators on the supports of
+    `support_paths`, whose ranges hold branch nodes off the support."""
+    paths = draw(support_paths())
+    value = st.builds(Fraction, st.integers(1, 4), st.sampled_from(MIXED_DENOMINATORS))
+    return TreeVector.from_dict({p: draw(value) for p in paths})
+
+
+# The S = 5/6 tie at the root between "00" and "1": the walk takes "00",
+# first in lexicographic order; lex-min takes "1", first in canonical order.
+MIXED_TIE = TreeVector.from_dict({
+    "": "1/7", "00": "1/2", "000": "1/3", "01": "1/9", "1": "7/12", "10": "1/5", "11": "1/4",
+})
+
+
+class TestWalkReferee:
+    """The positive path of jt_norm_sq against the DP, which NormSolver
+    runs on every input."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.one_of(st.randoms(use_true_random=False).map(tie_heavy), positive_forests()))
+    @example(MIXED_TIE)
+    @example(EX)
+    @example(TreeVector.zero())
+    def test_walk_equals_dp(self, x):
+        walk, dp = jt_norm_sq(x), NormSolver(x).solve()
+        assert norm_result_doc(walk) == norm_result_doc(dp)
+        assert walk == dp
+
+    def test_tie_picks(self):
+        witness = jt_norm_sq(MIXED_TIE).witness
+        assert Segment(Node(""), Node("000")) in witness.segments
+        partition, _ = greedy_partition(MIXED_TIE)
+        assert Segment(Node(""), Node("11")) in partition.segments
 
 
 class TestRecursiveNormCheck:

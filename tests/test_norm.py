@@ -27,6 +27,11 @@ Claims:
       score-only path equals solve(...).norm_sq (hypothesis differential
       suites); an endpoint outside ran(x) raises the constraint error
     - witness reconstruction runs at depths past the recursion limit
+    - every Node, Segment and Partition the engine builds without the
+      public checks (witnesses of solve, of constrained solves, of the
+      positive walk and of greedy_partition, the nodes of the trace, of
+      SupportTree and of both separation scans) equals its twin rebuilt
+      through the public constructors, which raise on a bad value
     - support-free stretch nodes that share their child's open entries
       leave every answer as the DP that rebuilds each node gave it:
       norm, witness bytes, every gap and isolation gap, constrained
@@ -110,6 +115,7 @@ from jtx import (
     ROOT,
     Segment,
     SeparatePair,
+    SupportTree,
     TreeVector,
     comparable,
     comparable_pairs,
@@ -118,6 +124,7 @@ from jtx import (
     enumerate_norming,
     forced_segment_is_norming,
     gap,
+    greedy_partition,
     is_separated,
     isolatable_nodes,
     jt_norm_sq,
@@ -1050,6 +1057,41 @@ TUPLE_ORDER_WITNESS = (
     [SeparatePair(Node(""), Node("11")), SeparatePair(Node("1"), Node("11")),
      SeparatePair(Node(""), Node("111"))],
 )
+
+
+def _validated(p: Partition) -> Partition:
+    """p rebuilt through the public constructors, which check every value."""
+    return Partition(frozenset(Segment(Node(s.top.path), Node(s.bottom.path)) for s in p.segments))
+
+
+class TestTrustedValues:
+    """Engine-built values skip the public checks (Node._of, Segment._of,
+    Partition._of); each must equal its validated twin."""
+
+    @_DIFF
+    @given(stretch_vectors(), st.data())
+    def test_engine_built_values_equal_validated_twins(self, x, data):
+        solver = NormSolver(x)
+        witnesses = [solver.solve().witness, jt_norm_sq(x).witness]
+        try:
+            witnesses.append(solver.solve([data.draw(stretch_constraints(x))]).witness)
+        except InfeasibleError:
+            pass
+        positive = TreeVector({n: abs(v) for n, v in x.items()})
+        witnesses.append(jt_norm_sq(positive).witness)
+        nodes = list(SupportTree(positive).nodes)
+        for policy in ("lex-min", "lex-max"):
+            partition, trace = greedy_partition(positive, policy)
+            witnesses.append(partition)
+            nodes += [*trace.s_values, *(c for c in trace.chosen.values() if c is not None)]
+            nodes += [c for ties in trace.tie_sets.values() for c in ties]
+        for w in witnesses:
+            assert _validated(w) == w
+        reports = [is_separated(x)]
+        if len(solver.ran) <= 40:
+            reports.append(is_separated(x, all_pairs=True))
+        nodes += [n for report in reports for pair in report.pair_gaps for n in pair]
+        assert all(Node(n.path) == n for n in nodes)
 
 
 class TestStretchPassThrough:
