@@ -181,9 +181,9 @@ def _run(args: argparse.Namespace) -> dict:
             check = oracle_norm_sq(x, cap)
             doc["oracle_norm_sq"] = format_rational(check)
             if check != res.norm_sq:
-                raise InternalError(
-                    f"oracle disagrees with the DP: {check} != {res.norm_sq}"
-                )
+                # jt_norm_sq walks a positive vector and runs the DP on any other
+                engine = "the heaviest-child walk" if x.is_positive() else "the DP"
+                raise InternalError(f"oracle disagrees with {engine}: {check} != {res.norm_sq}")
         return doc
 
     if args.command == "gap":

@@ -154,7 +154,9 @@ def consistent_with_greedy(
     st = SupportTree(x)
     kids, s = st._forest.kids, st._s
     violations: list[GreedyViolation] = []
-    for seg in p.sorted_segments():
+    # a one-node segment takes no step, so only longer ones are walked
+    longer = [seg for seg in p.segments if seg.top.path != seg.bottom.path]
+    for seg in sorted(longer, key=Segment.sort_key):
         b = seg.bottom.path
         chain = [b[:k] for k in range(seg.top.depth, seg.bottom.depth + 1) if b[:k] in s]
         for u, nxt in zip(chain, chain[1:]):

@@ -620,7 +620,8 @@ class NormSolver:
         first: the first that scores the stored entry made it. No key
         stored at p holds a pair whose upper node is p, so no pair test
         is needed. Every other kid closes as its own table says. Order
-        does not matter: the segments land in a frozenset.
+        does not matter: the segments land in a frozenset. A segment that
+        closes where it starts gets one Node as both ends.
         """
         segments: list[Segment] = []
         kids, stack = forest.kids, list(forest.roots)
@@ -632,7 +633,8 @@ class NormSolver:
                 xv, start_mask = self.val.get(p, 0), sep.lower_at.get(p, ())
                 sc = opens[key]
                 if p in self.supp and key == (xv, start_mask) and sc == done:
-                    segments.append(Segment._of(Node._of(top), Node._of(p)))
+                    head = Node._of(top)
+                    segments.append(Segment._of(head, head if p == top else Node._of(p)))
                     break
                 s, mask = key
                 if start_mask:
@@ -658,7 +660,8 @@ def _heaviest_walk(st: SupportTree, tie: Callable[[str], object]) -> tuple[Parti
     among those, one of largest tie(path), and the first in
     lexicographic (bit-0 first) order on a tie of both. Each node that
     no node picked heads a segment that follows the picks down. S(p) is
-    x(p) plus S of p's pick, so that segment sums to S(head).
+    x(p) plus S of p's pick, so that segment sums to S(head). A head
+    that picked nothing is a one-node segment, one Node at both ends.
     """
     s = st._s
 
@@ -673,7 +676,8 @@ def _heaviest_walk(st: SupportTree, tie: Callable[[str], object]) -> tuple[Parti
             bottom = head
             while bottom in pick:
                 bottom = pick[bottom]
-            segments.append(Segment._of(Node._of(head), Node._of(bottom)))
+            top = Node._of(head)
+            segments.append(Segment._of(top, top if bottom == head else Node._of(bottom)))
     return Partition._of(frozenset(segments)), pick
 
 

@@ -7,6 +7,13 @@ order-convex chain, stored by its two endpoints so that membership and
 disjointness are O(depth) string tests and deep chains are never
 materialized unless asked for.
 
+Node and Segment are the engine's most numerous values, so they are
+slotted frozen dataclasses with their own __eq__ and __hash__ over the
+paths: no __dict__, and no dataclass tuple built per comparison or
+hash. The public constructors check their input; the engine builds
+values it derived from checked ones with the trusted _of, and gives a
+one-node segment a single Node as both ends.
+
 The range of a set of paths, its smallest complete subtree, is read
 off one map, its skeleton (_skeleton): the paths plus every range node
 with two range children, linked by _forest. Every other range node
@@ -31,10 +38,20 @@ DEFAULT_MAX_DEPTH = 30
 
 _BITS = frozenset("01")
 
+# The trusted constructors (_of) fill a slotted frozen value through these,
+# past the dataclass's __init__ and its frozen __setattr__.
+_new = object.__new__
+_set = object.__setattr__
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True, eq=False)
 class Node:
-    """A position in the dyadic tree, identified by its bit path."""
+    """A position in the dyadic tree, identified by its bit path.
+
+    A slotted value: two Nodes are equal iff their paths are, and a Node
+    hashes as its path does. There is no order on Nodes (sort by
+    sort_key), no __dict__, and assignment raises FrozenInstanceError.
+    """
 
     path: str = ""
 
@@ -48,9 +65,17 @@ class Node:
     def _of(cls, path: str) -> Node:
         """A node on a bit string the engine took from other nodes' paths,
         so it is not checked again; outside input goes through __init__."""
-        node = object.__new__(cls)
-        object.__setattr__(node, "path", path)
+        node = _new(cls)
+        _set(node, "path", path)
         return node
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.path == other.path
+
+    def __hash__(self) -> int:
+        return hash(self.path)
 
     @property
     def depth(self) -> int:
@@ -92,9 +117,14 @@ def comparable(a: Node, b: Node) -> bool:
     return leq(a, b) or leq(b, a)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Segment:
-    """An order-convex chain [top, bottom], stored by its endpoints."""
+    """An order-convex chain [top, bottom], stored by its endpoints.
+
+    A slotted value like Node: two Segments are equal iff their ends
+    are, and a Segment hashes as the pair of its end paths. The engine
+    gives a one-node segment one Node as both ends.
+    """
 
     top: Node
     bottom: Node
@@ -110,10 +140,18 @@ class Segment:
     def _of(cls, top: Node, bottom: Node) -> Segment:
         """A segment whose top the engine knows to be at or above its
         bottom, so it is not checked again."""
-        seg = object.__new__(cls)
-        object.__setattr__(seg, "top", top)
-        object.__setattr__(seg, "bottom", bottom)
+        seg = _new(cls)
+        _set(seg, "top", top)
+        _set(seg, "bottom", bottom)
         return seg
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.top.path == other.top.path and self.bottom.path == other.bottom.path
+
+    def __hash__(self) -> int:
+        return hash((self.top.path, self.bottom.path))
 
     def __contains__(self, node: Node) -> bool:
         return leq(self.top, node) and leq(node, self.bottom)

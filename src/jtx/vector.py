@@ -210,16 +210,21 @@ class SupportTree:
     lexicographic order, so a stable sort by length puts them in
     canonical order. The Node views nodes (canonical order), paths,
     parent, children, roots and s (s[n] is S(n)) are built on first read.
+
+    The fill runs once per vector, bottom-up in reverse lexicographic
+    order: S(p) = x(p) + max(0, S of p's induced children), with one
+    max over the children's S, no generator per node.
     """
 
     def __init__(self, x: TreeVector):
         self._val, self._den = x._scaled()
         self._forest = _forest(sorted(self._val))
-        kids = self._forest.kids
+        val, kids = self._val, self._forest.kids
         s: dict[str, int] = {}
         # lexicographic order puts every path after its ancestors
         for p in reversed(self._forest.order):
-            s[p] = self._val[p] + max(0, max((s[c] for c in kids[p]), default=0))
+            ks = kids[p]
+            s[p] = val[p] + max(0, *map(s.__getitem__, ks)) if ks else val[p]
         self._s = s
 
     @cached_property

@@ -773,6 +773,26 @@ class TestErrors:
         assert code == 5
         assert json.loads(err)["error"]["type"] == "InternalError"
 
+    @pytest.mark.parametrize(
+        "doc, engine",
+        [(EXAMPLE, "the heaviest-child walk"), ({"vector": {}}, "the heaviest-child walk"), (SIGNED, "the DP")],
+        ids=["positive", "zero", "signed"],
+    )
+    def test_oracle_disagreement_names_the_engine(self, tmp_path, capsys, monkeypatch, doc, engine):
+        """jt_norm_sq walks a positive vector and runs the DP on any other;
+        the report names the one that gave the checked norm."""
+        from fractions import Fraction
+
+        path = tmp_path / "x.json"
+        path.write_text(json.dumps(doc))
+        monkeypatch.setattr(cli_mod, "oracle_norm_sq", lambda x, cap=None: Fraction(6))
+        norm_sq = jt_norm_sq(TreeVector.from_dict(doc["vector"])).norm_sq
+        code, out, err = _run(capsys, ["norm", str(path), "--oracle"])
+        assert code == 5 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "InternalError"
+        assert error["message"] == f"oracle disagrees with {engine}: 6 != {norm_sq}"
+
 
 def _readme_session() -> list[tuple[str, str]]:
     """The (command, output) pairs of the shell session under "Example:" in README.md."""

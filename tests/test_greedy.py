@@ -9,6 +9,11 @@ Claims:
     - consistent_with_greedy gives the verdict and violations of the
       support-wide chain rule it replaced, also for segments whose
       endpoints lie outside the support (hypothesis differential)
+    - skipping one-node segments keeps consistent_with_greedy's verdict
+      and violations, in order, equal to the all-segments loop it
+      replaced, on random non-greedy partitions of positive supports
+      that mix one-node and longer segments (hypothesis differential,
+      with a guard that the draws hold violations and such mixes)
     - forcing a maximal head segment at a minimal support node keeps the
       norm attainable
     - all tie branches of the greedy walk score identically
@@ -379,6 +384,100 @@ class TestConsistencyDifferential:
     def test_matches_support_scan(self, case):
         x, p = case
         assert consistent_with_greedy(x, p) == _consistent_by_support_scan(x, p)
+
+
+def _consistent_all_segments(x: TreeVector, p: Partition):
+    """Reference: consistent_with_greedy before it skipped one-node
+    segments, walking every segment of p in canonical order."""
+    st_ = SupportTree(x)
+    kids, s = st_._forest.kids, st_._s
+    violations = []
+    for seg in p.sorted_segments():
+        b = seg.bottom.path
+        chain = [b[:k] for k in range(seg.top.depth, seg.bottom.depth + 1) if b[:k] in s]
+        for u, nxt in zip(chain, chain[1:]):
+            best = max(s[c] for c in kids[u])
+            if s[nxt] < best:
+                better = min((c for c in kids[u] if s[c] == best), key=len)
+                violations.append(GreedyViolation(
+                    seg, Node(u), Node(nxt), Node(better), Fraction(s[nxt], st_._den),
+                    Fraction(best, st_._den),
+                ))
+    return (not violations, violations)
+
+
+def _random_walk_partition(x: TreeVector, pick_of) -> Partition:
+    """The partition of supp(x) whose segments follow pick_of(p, kids), an
+    induced child of p or None, down from every node no node picked."""
+    forest = SupportTree(x)._forest
+    pick = {}
+    for p in forest.order:
+        c = pick_of(p, forest.kids[p])
+        if c is not None:
+            pick[p] = c
+    picked = set(pick.values())
+    segments = []
+    for head in forest.order:
+        if head not in picked:
+            bottom = head
+            while bottom in pick:
+                bottom = pick[bottom]
+            segments.append(Segment(Node(head), Node(bottom)))
+    return Partition(frozenset(segments))
+
+
+@st.composite
+def positive_with_walk_partition(draw) -> tuple[TreeVector, Partition]:
+    """A positive vector and a partition of its support whose segments
+    step to any induced child, the lighter ones included, or stop."""
+    x = draw(st.one_of(st.randoms(use_true_random=False).map(tie_heavy), positive_forests()))
+    return x, _random_walk_partition(x, lambda p, kids: draw(st.sampled_from([None, *kids])))
+
+
+def _one_node_flags(p: Partition) -> set[bool]:
+    return {seg.top == seg.bottom for seg in p.segments}
+
+
+class TestConsistencyReferee:
+    """consistent_with_greedy skips one-node segments; the all-segments
+    loop it replaced referees it."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(positive_with_walk_partition())
+    @example((MIXED_TIE, Partition.of(
+        Segment(Node(""), Node("01")), Segment(Node("1"), Node("10")),
+        Segment(Node("00"), Node("00")), Segment(Node("000"), Node("000")),
+        Segment(Node("11"), Node("11")),
+    )))
+    def test_matches_all_segments_loop(self, case):
+        x, p = case
+        assert consistent_with_greedy(x, p) == _consistent_all_segments(x, p)
+
+    def test_mixed_example_violations_in_order(self):
+        singles = [Segment(Node(q), Node(q)) for q in ("00", "000", "11")]
+        longer = [Segment(Node(""), Node("01")), Segment(Node("1"), Node("10"))]
+        ok, violations = consistent_with_greedy(MIXED_TIE, Partition.of(*longer, *singles))
+        assert not ok
+        assert [(v.segment, v.better) for v in violations] == [
+            (longer[0], Node("1")), (longer[1], Node("11")),
+        ]
+        assert consistent_with_greedy(MIXED_TIE, Partition.of(*longer)) == (ok, violations)
+
+    def test_draws_are_not_vacuous(self):
+        """Seeded draws of the same kind hold violations, mixes of one-node
+        and longer segments, and both together."""
+        rng = random.Random(25)
+        violated = mixed = both = 0
+        for _ in range(300):
+            x = tie_heavy(rng) if rng.random() < 0.5 else random_positive(rng, max_depth=5)
+            p = _random_walk_partition(x, lambda q, kids: rng.choice([None, *kids]))
+            ok, violations = consistent_with_greedy(x, p)
+            assert (ok, violations) == _consistent_all_segments(x, p)
+            is_mixed = _one_node_flags(p) == {True, False}
+            violated += not ok
+            mixed += is_mixed
+            both += is_mixed and not ok
+        assert violated >= 100 and mixed >= 150 and both >= 100, (violated, mixed, both)
 
 
 class TestForcedSegment:

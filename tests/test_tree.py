@@ -17,10 +17,20 @@ Claims:
     - node errors echo a path of ordinary length whole, and a long one
       cut short with its length; a path that is not a string is an
       InputError, from Node and from parse_node
+    - Node and Segment are slotted frozen values: a checked and a
+      trusted (_of) build of one path or pair of ends are equal, hash
+      alike and make one set member; equality with another type is
+      NotImplemented and there is no order; assignment and del raise
+      FrozenInstanceError and there is no __dict__; reprs keep their
+      form; pickle and deepcopy round-trip Node, Segment, Partition and
+      NormResult (hypothesis, paths to depth 12)
 """
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+import pickle
 import random
 
 import pytest
@@ -32,10 +42,14 @@ from jtx import (
     DomainError,
     InputError,
     Node,
+    NormResult,
+    Partition,
     Segment,
+    TreeVector,
     canonical_order,
     comparable_pairs,
     complete_closure,
+    jt_norm_sq,
     leq,
     minimal_nodes,
     parent_child_pairs,
@@ -285,3 +299,104 @@ class TestPairScans:
         expected = [p for p in set(paths) if not any(p[:k] in paths for k in range(len(p)))]
         assert minimal_nodes(_nodes(*paths)) == canonical_order(_nodes(*expected))
         assert canonical_order(_nodes("1", "00", "", "0")) == _nodes("", "0", "1", "00")
+
+
+PATHS = st.text("01", max_size=12)
+
+
+@st.composite
+def chains(draw) -> tuple[str, str]:
+    """Ends (top, bottom) of a segment at most 12 levels deep, one-node
+    segments (top == bottom) among them."""
+    bottom = draw(PATHS)
+    return bottom[: draw(st.integers(0, len(bottom)))], bottom
+
+
+def _both_builds(top: str, bottom: str) -> tuple[Segment, Segment]:
+    """The segment through the checked constructors, and through the
+    trusted ones with one Node for both ends of a one-node segment."""
+    head = Node._of(top)
+    return Segment(Node(top), Node(bottom)), Segment._of(head, head if top == bottom else Node._of(bottom))
+
+
+def _round_trips(value) -> None:
+    """A pickled and a deep copy equal the value; a Node's or a Segment's
+    copy also hashes and prints alike (a Partition's frozenset may list
+    its segments in another order)."""
+    for copied in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+        assert type(copied) is type(value) and copied == value
+        if isinstance(value, (Node, Segment)):
+            assert hash(copied) == hash(value) and repr(copied) == repr(value)
+
+
+class TestValueContract:
+    """Node and Segment are slotted frozen dataclasses with their own
+    __eq__ and __hash__; both builds must stay one value."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(PATHS)
+    @example("")
+    def test_node_builds_are_one_value(self, p):
+        checked, trusted = Node(p), Node._of(p)
+        assert checked == trusted and not checked != trusted
+        assert hash(checked) == hash(trusted)
+        assert len({checked, trusted}) == 1
+        assert {checked: 1}[trusted] == 1
+        assert repr(checked) == repr(trusted) == f"Node({p!r})"
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(chains())
+    @example(("", ""))
+    @example(("0", "0110"))
+    def test_segment_builds_are_one_value(self, ends):
+        checked, trusted = _both_builds(*ends)
+        assert checked == trusted and not checked != trusted
+        assert hash(checked) == hash(trusted)
+        assert len({checked, trusted}) == 1
+        assert repr(checked) == repr(trusted) == f"Segment({ends[0]!r}, {ends[1]!r})"
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(chains(), chains())
+    def test_unequal_values_differ(self, ends, other):
+        assert (Node(ends[1]) == Node(other[1])) is (ends[1] == other[1])
+        assert (_both_builds(*ends)[0] == _both_builds(*other)[1]) is (ends == other)
+
+    def test_other_types_are_not_implemented(self):
+        node, seg = Node("0"), Segment(Node(""), Node("0"))
+        assert node.__eq__("0") is NotImplemented
+        assert seg.__eq__(("", "0")) is NotImplemented
+        assert node.__eq__(seg) is NotImplemented and seg.__eq__(node) is NotImplemented
+        assert node != "0" and seg != (node, node)
+        for a, b in ((node, Node("1")), (seg, Segment(Node(""), Node("1")))):
+            with pytest.raises(TypeError):
+                a < b
+            with pytest.raises(TypeError):
+                a <= b
+
+    @pytest.mark.parametrize("build", ["checked", "trusted"])
+    def test_frozen_and_slotted(self, build):
+        checked, trusted = _both_builds("0", "01")
+        node = Node("0") if build == "checked" else Node._of("0")
+        seg = checked if build == "checked" else trusted
+        for value, field in ((node, "path"), (seg, "top"), (seg, "bottom")):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(value, field, Node("1"))
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(value, field)
+            assert not hasattr(value, "__dict__")
+        assert node.path == "0" and (seg.top.path, seg.bottom.path) == ("0", "01")
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.lists(PATHS, min_size=1, max_size=6, unique=True), chains())
+    def test_pickle_and_deepcopy(self, paths, ends):
+        for value in (Node(ends[1]), Node._of(ends[1]), *_both_builds(*ends)):
+            _round_trips(value)
+        # all-positive entries take the heaviest-child walk, alternating signs the DP
+        for sign in (1, -1):
+            x = TreeVector.from_dict({p: sign ** i for i, p in enumerate(paths)})
+            result = jt_norm_sq(x)
+            assert isinstance(result, NormResult) and isinstance(result.witness, Partition)
+            _round_trips(result.witness)
+            _round_trips(result)
+            copied = pickle.loads(pickle.dumps(result)).witness
+            assert copied.sorted_segments() == result.witness.sorted_segments()
