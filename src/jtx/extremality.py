@@ -217,7 +217,7 @@ def certify_extreme(x: TreeVector) -> ExtremeCertificate:
                 witness_y=y,
                 epsilon=eps,
             )
-    basis = "l2-equality" if norm_sq == x.l2_sq() else "separated-finite-support"
+    basis = "l2-equality" if _l2_match(solver) else "separated-finite-support"
     return ExtremeCertificate(verdict="extreme", basis=basis, norm_sq=norm_sq)
 
 
@@ -252,9 +252,14 @@ def _isolation_report(solver: NormSolver) -> tuple[dict[Node, bool], bool, bool]
 
     The isolation gaps solve the unconstrained DP, so the norm comes free.
     """
-    x = solver.x
-    per_node = {a: solver.isolation_gap(a) == 0 for a in canonical_order(x.support())}
-    return per_node, all(per_node.values()), solver.norm_sq() == x.l2_sq()
+    per_node = {a: solver.isolation_gap(a) == 0 for a in canonical_order(solver.x.support())}
+    return per_node, all(per_node.values()), _l2_match(solver)
+
+
+def _l2_match(solver: NormSolver) -> bool:
+    """norm_sq == l2_sq, compared in the solver's integers: both sides are
+    scaled by den^2, so no Fraction is built."""
+    return solver._total == sum(v * v for v in solver.val.values())
 
 
 def _descent_sums(x: TreeVector) -> dict[str, dict[str, Fraction]]:

@@ -75,7 +75,9 @@ every input and referees the walk in the tests: norm and witness have
 been equal on every positive vector tried, an empirical equality.
 
 A brute-force oracle enumerates all canonical families outright on
-small instances and shares no shortcut with the dynamic program.
+small instances and shares no shortcut with the dynamic program. It is
+one depth-first loop on an explicit stack that scores each disjoint
+family once, when it pops it: no bound, no pruning and no memo.
 
 Tie policy for witness extraction, applied wherever two choices give
 equal score: prefer leaving a child subtree closed over closing a
@@ -152,6 +154,14 @@ class Partition:
 
     def __len__(self) -> int:
         return len(self.segments)
+
+    def __repr__(self) -> str:
+        """The dataclass form with the segments in canonical order, so
+        equal partitions print alike whatever their set's iteration order."""
+        if not self.segments:
+            return "Partition(segments=frozenset())"
+        inner = ", ".join(map(repr, self.sorted_segments()))
+        return f"Partition(segments=frozenset({{{inner}}}))"
 
 
 EMPTY_PARTITION = Partition(frozenset())
@@ -748,11 +758,16 @@ def _scaled_weights(x: TreeVector, segs: list[Segment]) -> tuple[list[int], int]
     return sums, den
 
 
-def _iter_family_scores(segs: list[Segment], sums: list[int]):
-    """Yield (index tuple, score) for every pairwise-disjoint family.
+def _norming_families(segs: list[Segment], sums: list[int]) -> tuple[int, list[tuple[int, ...]]]:
+    """The best score over all pairwise-disjoint families of segs, and
+    the index tuple of every family that scores it.
 
-    Straight backtracking over the segment list; every prefix of a valid
-    family is itself a valid family, so each recursion state is yielded.
+    Straight backtracking over the segment list, run as one depth-first
+    loop on an explicit stack of (start, allowed, chosen, score) states.
+    Every prefix of a valid family is itself a valid family, so each
+    state popped is one family, scored once. Children are pushed in
+    descending index order, so families pop in lexicographic order of
+    their index tuples and found lists the ties in that order.
     """
     n = len(segs)
     compat = []
@@ -763,17 +778,20 @@ def _iter_family_scores(segs: list[Segment], sums: list[int]):
                 m |= 1 << j
         compat.append(m)
     weights = [s * s for s in sums]
-
-    def rec(start: int, allowed: int, chosen: tuple, sc: int):
-        yield chosen, sc
+    best, found = -1, []
+    stack = [(0, (1 << n) - 1, (), 0)]
+    while stack:
+        start, allowed, chosen, sc = stack.pop()
+        if sc > best:
+            best, found = sc, [chosen]
+        elif sc == best:
+            found.append(chosen)
         live = allowed >> start << start
         while live:
-            low = live & -live
-            j = low.bit_length() - 1
-            live &= live - 1
-            yield from rec(j + 1, allowed & compat[j], chosen + (j,), sc + weights[j])
-
-    yield from rec(0, (1 << n) - 1, (), 0)
+            j = live.bit_length() - 1
+            live ^= 1 << j
+            stack.append((j + 1, allowed & compat[j], chosen + (j,), sc + weights[j]))
+    return best, found
 
 
 def oracle_norm_sq(x: TreeVector, cap: int | None = None) -> Fraction:
@@ -781,7 +799,7 @@ def oracle_norm_sq(x: TreeVector, cap: int | None = None) -> Fraction:
     _check_cap(x, cap)
     segs = canonical_segments(x)
     sums, den = _scaled_weights(x, segs)
-    best = max(sc for _, sc in _iter_family_scores(segs, sums))
+    best, _ = _norming_families(segs, sums)
     return Fraction(best, den * den)
 
 
@@ -789,13 +807,6 @@ def enumerate_norming(x: TreeVector, cap: int | None = None) -> set[Partition]:
     """All canonical partitions whose score equals the squared norm."""
     _check_cap(x, cap)
     segs = canonical_segments(x)
-    sums, den = _scaled_weights(x, segs)
-    best = -1
-    found: list[tuple] = []
-    for chosen, sc in _iter_family_scores(segs, sums):
-        if sc > best:
-            best = sc
-            found = [chosen]
-        elif sc == best:
-            found.append(chosen)
+    sums, _ = _scaled_weights(x, segs)
+    _, found = _norming_families(segs, sums)
     return {Partition(frozenset(segs[i] for i in fam)) for fam in found}

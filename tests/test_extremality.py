@@ -25,7 +25,10 @@ Claims:
       which reads the vector's entries and nothing else of the engine
     - l2 equality forces separation and extremality; on single branches
       and incomparable-segment supports the converse holds too
-    - isolation of every support node forces l2 equality
+    - isolation of every support node forces l2 equality; the l2 flags
+      of the isolation report and of the certificate's basis, compared
+      in the solver's scaled integers, equal the Fraction comparison on
+      mixed denominators
     - positive separated vectors have balanced sibling sums; their
       branch sums agree when supp = ran, but not in general: a
       separated, extreme vector with unequal branch sums is pinned
@@ -43,6 +46,7 @@ from __future__ import annotations
 
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -496,6 +500,26 @@ class TestIsolatable:
             every, l2_match = all_isolatable_implies_l2(x)
             if every:
                 assert l2_match
+
+    def test_l2_flags_equal_the_fraction_comparison(self):
+        """The l2 flags of _isolation_report and of certify_extreme's basis,
+        compared in the solver's integers scaled by den^2, equal
+        norm_sq == l2_sq in Fractions, on mixed denominators too."""
+        rng = random.Random(47)
+        seen = Counter()
+        drawn = [random_signed(rng, max_depth=3, max_ran=9) for _ in range(120)]
+        mixed = [TreeVector.from_dict({n: v / rng.choice((1, 2, 3, 5)) for n, v in x.items()}) for x in drawn]
+        # separated with norm_sq > l2_sq, which random draws rarely are
+        balanced = [TreeVector.from_dict({"": q, "0": q, "1": q}) for q in (1, Fraction(1, 3))]
+        for x in balanced + mixed:
+            expected = jt_norm_sq(x).norm_sq == x.l2_sq()
+            assert all_isolatable_implies_l2(x)[1] is expected
+            cert = certify_extreme(x)
+            if cert.verdict == "extreme":
+                assert cert.basis == ("l2-equality" if expected else "separated-finite-support")
+            seen[cert.basis] += 1
+        assert seen["blocked-pair"] >= 10 and seen["l2-equality"] >= 10, seen
+        assert seen["separated-finite-support"] >= 2, seen
 
 
 class TestSpecialSupports:

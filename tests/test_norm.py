@@ -8,6 +8,11 @@ Claims:
       scan's, which names the first offender in canonical order, also
       with tops more than 500 levels deep (compared uncut too)
     - the DP equals the brute-force oracle on every tested instance
+    - the oracle's search finds the best score and every family that
+      ties it, each once and in lexicographic order of index tuples,
+      as every subset of canonical segments with pairwise disjoint
+      member paths does (hypothesis, at most 10 segments, the zero
+      vector included)
     - witnesses are canonical, score their own norm, satisfy constraints
     - up to two forced segments (zero endpoints and chains inside
       support-free stretches included) with up to two pairs inside, across
@@ -138,7 +143,7 @@ from jtx import (
     segments_disjoint,
 )
 from jtx.errors import _shown
-from jtx.norm import _NO_SEP
+from jtx.norm import _NO_SEP, _norming_families, _scaled_weights, canonical_segments
 from jtx.tree import range_paths
 from jtx.wire import norm_result_doc
 
@@ -731,6 +736,64 @@ class TestEnumerate:
             assert partitions
             for p in partitions:
                 assert score(x, p) == norm_sq
+
+
+def _disjoint_families_by_subset(x: TreeVector):
+    """Referee for the oracle's search: every subset of canonical segment
+    indices by itertools.combinations, kept when its member path sets are
+    pairwise disjoint. Returns the best score and every index tuple that
+    scores it."""
+    segs = canonical_segments(x)
+    members = [
+        frozenset(s.bottom.path[:k] for k in range(len(s.top.path), len(s.bottom.path) + 1))
+        for s in segs
+    ]
+    values = {n.path: v for n, v in x.items()}
+    weights = [sum((values.get(p, 0) for p in m), Fraction(0)) ** 2 for m in members]
+    scored = [
+        (fam, sum((weights[i] for i in fam), Fraction(0)))
+        for r in range(len(segs) + 1)
+        for fam in itertools.combinations(range(len(segs)), r)
+        if all(members[i].isdisjoint(members[j]) for i, j in itertools.combinations(fam, 2))
+    ]
+    best = max(sc for _, sc in scored)
+    return best, {fam for fam, sc in scored if sc == best}
+
+
+def _few_segments(entries: dict) -> bool:
+    """At most 10 canonical segments: the comparable ordered pairs of the support."""
+    return sum(b.startswith(a) for a in entries for b in entries) <= 10
+
+
+# supports to depth 3 with at most 10 canonical segments; +-1 entries give
+# zero-sum segments and so ties, the fractions mixed denominators
+SMALL_SUPPORTS = st.dictionaries(
+    st.text("01", max_size=3),
+    st.sampled_from([1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 3), Fraction(3, 2)]),
+    max_size=6,
+).filter(_few_segments)
+
+
+class TestOracleSearch:
+    """The explicit-stack search scores every disjoint family once and keeps
+    every family that ties the best, against the subset referee."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(SMALL_SUPPORTS)
+    @example({})  # the zero vector: norm 0, and the empty family alone
+    @example({"": 1, "00": 1, "01": 1})
+    @example({"": 1, "0": -1, "00": 1, "000": -1})
+    def test_search_equals_the_subset_referee(self, entries):
+        x = TreeVector.from_dict(entries)
+        segs = canonical_segments(x)
+        sums, den = _scaled_weights(x, segs)
+        best, found = _norming_families(segs, sums)
+        ref_best, ref_found = _disjoint_families_by_subset(x)
+        assert Fraction(best, den * den) == ref_best
+        assert len(found) == len(set(found)) and set(found) == ref_found
+        assert found == sorted(found)
+        assert oracle_norm_sq(x) == ref_best
+        assert enumerate_norming(x) == {Partition.of(*(segs[i] for i in fam)) for fam in ref_found}
 
 
 class TestRestrictionLemma:

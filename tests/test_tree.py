@@ -22,8 +22,10 @@ Claims:
       alike and make one set member; equality with another type is
       NotImplemented and there is no order; assignment and del raise
       FrozenInstanceError and there is no __dict__; reprs keep their
-      form; pickle and deepcopy round-trip Node, Segment, Partition and
-      NormResult (hypothesis, paths to depth 12)
+      form, and a Partition's lists its segments in canonical order, so
+      equal partitions (rebuilt in either order, pickled or deep-copied)
+      print alike; pickle and deepcopy round-trip Node, Segment,
+      Partition and NormResult (hypothesis, paths to depth 12)
 """
 
 from __future__ import annotations
@@ -400,3 +402,34 @@ class TestValueContract:
             _round_trips(result)
             copied = pickle.loads(pickle.dumps(result)).witness
             assert copied.sorted_segments() == result.witness.sorted_segments()
+
+    def test_partition_repr_form(self):
+        p = Partition.of(Segment(Node("01"), Node("01")), Segment(Node(""), Node("00")))
+        assert repr(p) == "Partition(segments=frozenset({Segment('', '00'), Segment('01', '01')}))"
+        assert repr(Partition(frozenset())) == "Partition(segments=frozenset())"
+        # eight one-node segments: a set's iteration order is almost never canonical
+        leaves = grid(3)[-8:]
+        p = Partition.of(*(singleton(Node(q)) for q in reversed(leaves)))
+        inner = ", ".join(f"Segment({q!r}, {q!r})" for q in leaves)
+        assert repr(p) == f"Partition(segments=frozenset({{{inner}}}))"
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.lists(PATHS, max_size=6, unique=True))
+    def test_equal_partitions_print_alike(self, paths):
+        """A witness, its segments rebuilt in either order, and a pickled and
+        a deep copy print the same: the segments in canonical order."""
+        for sign in (1, -1):
+            x = TreeVector.from_dict({p: sign ** i for i, p in enumerate(paths)})
+            witness = jt_norm_sq(x).witness
+            segs = witness.sorted_segments()
+            inner = ", ".join(f"Segment({s.top.path!r}, {s.bottom.path!r})" for s in segs)
+            expected = f"Partition(segments=frozenset({{{inner}}}))" if segs else "Partition(segments=frozenset())"
+            copies = (
+                Partition.of(*segs),
+                Partition.of(*reversed(segs)),
+                pickle.loads(pickle.dumps(witness)),
+                copy.deepcopy(witness),
+            )
+            assert repr(witness) == expected
+            for p in copies:
+                assert p == witness and repr(p) == expected
