@@ -8,26 +8,25 @@ exceeded, 5 internal invariant failure. Every error writes one error
 document to stderr, except a bad flag, which gets argparse's plain-text
 usage message and exit 2. Both echo a long value, node key, flag value
 or file path cut short.
-JTX_ORACLE_CAP overrides the default oracle cap; the --oracle-cap flag
-overrides both.
 
 Input bounds (exit 2 beyond them): --digits lies in 0..1000, vector
 values are integers, fractions or plain decimals (exponent forms such
 as "1e50" are rejected), and every output value must fit the
-interpreter's limit on the digits of integer text. The oracle cap (from
---oracle-cap or JTX_ORACLE_CAP) is an integer of at least 0; only the
+interpreter's limit on the digits of integer text. The oracle cap
+(--oracle-cap, default 13) is an integer of at least 0; only the
 commands that read it (norm --oracle, enumerate-norming, witness)
-check it. The integer flags and JTX_ORACLE_CAP reject "_" and non-ASCII
-characters, as vector values do. An input file, or a vector read from
-stdin, is UTF-8 text whatever the locale, no JSON object in it may
-repeat a key, its nesting stays within the interpreter's recursion
-limit, a bare integer in it obeys the same digit limit, and a partition
-segment's top and bottom are strings.
+check it. The flag is its only source, so a document depends only on
+the arguments and the input files. The integer flags reject "_" and
+non-ASCII characters, as vector values do. An input file, or a vector
+read from stdin, is UTF-8 text whatever the locale, no JSON object in
+it may repeat a key, its nesting stays within the interpreter's
+recursion limit, a bare integer in it obeys the same digit limit, and a
+partition segment's top and bottom are strings.
 
 The argument parser is built once per process, on the first main()
 call, and reused by every later call: it holds no per-call state, since
-parse_args returns a fresh namespace and JTX_ORACLE_CAP is read after
-parsing.
+parse_args returns a fresh namespace and every default is a module
+constant.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import os
 import sys
 from typing import IO, Iterator
 
@@ -63,19 +61,13 @@ from .tree import parse_node
 from .vector import format_rational
 
 
-def _ascii_int(text: str) -> int:
-    """int(text) in the grammar of vector values: a ValueError for '_' or a non-ASCII character."""
-    if "_" in text or not text.isascii():
-        raise ValueError(text)
-    return int(text)
-
-
 def _int_flag(text: str) -> int:
-    """An integer flag's value; argparse's message for a bad one, echoing it cut short."""
-    try:
-        return _ascii_int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {_shown(repr(text))}") from None
+    """An integer flag's value in the grammar of vector values (no '_', ASCII only);
+    argparse's message for a bad one, echoing it cut short."""
+    if "_" not in text and text.isascii():
+        with contextlib.suppress(ValueError):
+            return int(text)
+    raise argparse.ArgumentTypeError(f"invalid int value: {_shown(repr(text))}")
 
 
 @functools.cache
@@ -101,9 +93,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--oracle-cap",
             type=_int_flag,
-            default=None,
-            help="max |ran(x)| for exhaustive enumeration (default from "
-            "JTX_ORACLE_CAP or %d)" % ORACLE_NODE_CAP,
+            default=ORACLE_NODE_CAP,
+            help="max |ran(x)| for exhaustive enumeration (default %d)" % ORACLE_NODE_CAP,
         )
         return p
 
@@ -150,19 +141,9 @@ def _user_file(path: str, mode: str = "r") -> Iterator[IO[str]]:
 
 
 def _resolve_cap(args: argparse.Namespace) -> int:
-    if args.oracle_cap is not None:
-        cap, source = args.oracle_cap, "--oracle-cap"
-    else:
-        env = os.environ.get("JTX_ORACLE_CAP")
-        if env is None:
-            return ORACLE_NODE_CAP
-        try:
-            cap, source = _ascii_int(env), "JTX_ORACLE_CAP"
-        except ValueError:
-            raise InputError(f"JTX_ORACLE_CAP must be an integer, got {_shown(repr(env))}") from None
-    if cap < 0:
-        raise InputError(f"{source} must be at least 0, got {_shown(str(cap))}")
-    return cap
+    if args.oracle_cap < 0:
+        raise InputError(f"--oracle-cap must be at least 0, got {_shown(str(args.oracle_cap))}")
+    return args.oracle_cap
 
 
 def _run(args: argparse.Namespace) -> dict:

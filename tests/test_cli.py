@@ -4,10 +4,10 @@ Claims:
     - every command emits one JSON document with the documented fields
     - output bytes are identical across repeated runs
     - exit codes: 0 ok, 2 parse, 3 precondition, 4 cap, 5 internal
-    - JTX_ORACLE_CAP and --oracle-cap control the enumeration cap; a cap
-      below 0 (or a non-integer JTX_ORACLE_CAP) exits 2 in the commands
-      that read it and is ignored by the others; its error echoes a long
-      cap cut short, from the flag and from the environment alike
+    - --oracle-cap alone sets the enumeration cap, 13 by default; a cap
+      below 0 exits 2 in the commands that read it and is ignored by the
+      others, and its error echoes a long cap cut short; JTX_ORACLE_CAP,
+      whatever its value, changes no command's exit code or output
     - --digits accepts 0..1000 and vector values reject exponent forms,
       "_" and non-ASCII characters, each with exit 2, as do a key repeated
       in a vector or partition file, a partition segment end that is not
@@ -24,8 +24,8 @@ Claims:
       short past 200 characters, as does the out-of-range --digits
       message; an integer flag that is no integer, or one past the
       4,300-digit limit, gets argparse's plain-text usage error (exit 2)
-      with the value cut short; the integer flags and JTX_ORACLE_CAP
-      refuse "_" and non-ASCII digits, as vector values do
+      with the value cut short; the integer flags refuse "_" and
+      non-ASCII digits, as vector values do
     - norm reads the vector from stdin for "-" and gives the document it
       gives for the same file, the error document for bytes that are not
       UTF-8 included, whatever text layer stdin has
@@ -534,63 +534,48 @@ class TestErrors:
         assert code == 4
         assert json.loads(err)["error"]["type"] == "CapError"
 
-    def test_env_cap(self, tmp_path, capsys, monkeypatch):
-        full = {"vector": {p: "1" for p in ["", "0", "1"]}}
+    def test_default_cap(self, tmp_path, capsys):
+        """Without --oracle-cap the cap is 13: a 13-node range is enumerated, a 14-node one is not."""
         path = tmp_path / "v.json"
-        path.write_text(json.dumps(full))
-        monkeypatch.setenv("JTX_ORACLE_CAP", "2")
-        code, _, _ = _run(capsys, ["enumerate-norming", str(path)])
-        assert code == 4
-        monkeypatch.setenv("JTX_ORACLE_CAP", "20")
-        code, _, _ = _run(capsys, ["enumerate-norming", str(path)])
-        assert code == 0
+        path.write_text(json.dumps({"vector": {"": "1", "0" * 12: "1"}}))
+        code, out, _ = _run(capsys, ["enumerate-norming", str(path)])
+        assert code == 0 and json.loads(out)["count"] == 1
+        path.write_text(json.dumps({"vector": {"": "1", "0" * 13: "1"}}))
+        code, out, err = _run(capsys, ["enumerate-norming", str(path)])
+        assert (code, out) == (4, "")
+        error = json.loads(err)["error"]
+        assert error == {"type": "CapError", "message": "|ran(x)| = 14 exceeds the oracle node cap 13"}
 
-    def test_flag_overrides_env(self, tmp_path, capsys, monkeypatch):
-        full = {"vector": {p: "1" for p in ["", "0", "1"]}}
-        path = tmp_path / "v.json"
-        path.write_text(json.dumps(full))
-        monkeypatch.setenv("JTX_ORACLE_CAP", "2")
-        code, _, _ = _run(capsys, ["enumerate-norming", str(path), "--oracle-cap", "5"])
-        assert code == 0
-
-    def test_negative_cap_flag_rejected(self, vec_file, capsys, monkeypatch):
-        monkeypatch.delenv("JTX_ORACLE_CAP", raising=False)
+    def test_negative_cap_flag_rejected(self, vec_file, capsys):
         code, out, err = _run(capsys, ["norm", vec_file, "--oracle", "--oracle-cap", "-1"])
         assert code == 2 and out == ""
         error = json.loads(err)["error"]
         assert error == {"type": "InputError", "message": "--oracle-cap must be at least 0, got -1"}
 
-    def test_negative_cap_env_rejected(self, vec_file, capsys, monkeypatch):
-        monkeypatch.setenv("JTX_ORACLE_CAP", "-1")
-        code, out, err = _run(capsys, ["norm", vec_file, "--oracle"])
-        assert code == 2 and out == ""
-        error = json.loads(err)["error"]
-        assert error == {"type": "InputError", "message": "JTX_ORACLE_CAP must be at least 0, got -1"}
-
-    @pytest.mark.parametrize("env, flag", [
-        ("x" * 5000, []),
-        ("-" + "1" * 4000, []),
-        (None, ["--oracle-cap", "-" + "1" * 4000]),
-    ], ids=["env-literal", "env-negative", "flag-negative"])
-    def test_long_cap_leaves_a_short_error(self, vec_file, capsys, monkeypatch, env, flag):
-        if env is None:
-            monkeypatch.delenv("JTX_ORACLE_CAP", raising=False)
-        else:
-            monkeypatch.setenv("JTX_ORACLE_CAP", env)
-        code, out, err = _run(capsys, ["norm", vec_file, "--oracle", *flag])
+    def test_long_cap_leaves_a_short_error(self, vec_file, capsys):
+        code, out, err = _run(capsys, ["norm", vec_file, "--oracle", "--oracle-cap", "-" + "1" * 4000])
         assert (code, out) == (2, "")
         error = json.loads(err)["error"]
         assert error["type"] == "InputError" and len(error["message"]) < 1000
         assert error["message"].endswith(" characters)")
 
-    @pytest.mark.parametrize("env", ["-1", "abc"])
+    @pytest.mark.parametrize("env", ["2", "-1", "abc", "x" * 5000], ids=["2", "-1", "abc", "long"])
     def test_bad_cap_ignored_where_unread(self, vec_file, capsys, monkeypatch, env):
-        """Only norm --oracle, enumerate-norming and witness read the cap."""
-        monkeypatch.setenv("JTX_ORACLE_CAP", env)
+        """No command reads JTX_ORACLE_CAP; only norm --oracle, enumerate-norming
+        and witness read --oracle-cap."""
         gap = ["gap", vec_file, "--u", "", "--v", "0"]
+        reading = [
+            ["norm", vec_file, "--oracle"],
+            ["enumerate-norming", vec_file],
+            ["witness", vec_file, "--u", "", "--v", "0"],
+        ]
+        monkeypatch.delenv("JTX_ORACLE_CAP", raising=False)
+        without = [_run(capsys, argv) for argv in reading]
+        assert [code for code, _, _ in without] == [0, 0, 0]
+        monkeypatch.setenv("JTX_ORACLE_CAP", env)
+        assert [_run(capsys, argv) for argv in reading] == without
         for argv in (gap, ["norm", vec_file], ["separated", vec_file], ["extreme", vec_file]):
             assert _run(capsys, argv)[0] == 0, argv
-        monkeypatch.delenv("JTX_ORACLE_CAP")
         assert _run(capsys, [*gap, "--oracle-cap", "-1"])[0] == 0
 
     @pytest.mark.parametrize("argv", [
@@ -598,23 +583,15 @@ class TestErrors:
         ["enumerate-norming", "{vec}"],
         ["witness", "{vec}", "--u", "", "--v", "0"],
     ], ids=["norm-oracle", "enumerate-norming", "witness"])
-    def test_bad_cap_rejected_where_read(self, vec_file, capsys, monkeypatch, argv):
+    def test_bad_cap_rejected_where_read(self, vec_file, capsys, argv):
         argv = [a.format(vec=vec_file) for a in argv]
-        monkeypatch.setenv("JTX_ORACLE_CAP", "abc")
-        assert _run(capsys, argv)[0] == 2
-        monkeypatch.setenv("JTX_ORACLE_CAP", "-1")
-        assert _run(capsys, argv)[0] == 2
-        monkeypatch.delenv("JTX_ORACLE_CAP")
         assert _run(capsys, [*argv, "--oracle-cap", "-1"])[0] == 2
 
-    def test_zero_cap_accepted(self, tmp_path, capsys, monkeypatch):
+    def test_zero_cap_accepted(self, tmp_path, capsys):
         """The zero vector has an empty range, so cap 0 still admits it."""
         path = tmp_path / "zero.json"
         path.write_text(json.dumps({"vector": {}}))
         code, out, _ = _run(capsys, ["norm", str(path), "--oracle", "--oracle-cap", "0"])
-        assert code == 0 and json.loads(out)["oracle_norm_sq"] == "0"
-        monkeypatch.setenv("JTX_ORACLE_CAP", "0")
-        code, out, _ = _run(capsys, ["norm", str(path), "--oracle"])
         assert code == 0 and json.loads(out)["oracle_norm_sq"] == "0"
 
     @pytest.mark.parametrize("digits", ["0", "1000"])
@@ -660,13 +637,6 @@ class TestErrors:
             err = capsys.readouterr().err
             assert exc.value.code == 2 and len(err.encode()) < 1000
             assert err.endswith(f"error: argument {flag}: invalid int value: {shown}\n")
-
-    def test_cap_env_reads_ascii_digits_only(self, vec_file, capsys, monkeypatch):
-        monkeypatch.setenv("JTX_ORACLE_CAP", "1_3")
-        code, out, err = _run(capsys, ["norm", vec_file, "--oracle"])
-        assert (code, out) == (2, "")
-        error = json.loads(err)["error"]
-        assert error == {"type": "InputError", "message": "JTX_ORACLE_CAP must be an integer, got '1_3'"}
 
     @pytest.mark.parametrize("text", [
         '{"vector": {"": "' + "1" * 100_000 + '"}}',
@@ -827,7 +797,6 @@ class TestParserReuse:
     """main() builds its parser once per process and keeps no state in it."""
 
     def test_parser_built_once(self, vec_file, capsys, monkeypatch):
-        monkeypatch.delenv("JTX_ORACLE_CAP", raising=False)
         builds = []
         init = argparse.ArgumentParser.__init__
 
@@ -853,7 +822,6 @@ class TestParserReuse:
     ):
         (tmp_path / "x.json").write_text(json.dumps(EXAMPLE))
         monkeypatch.chdir(tmp_path)
-        monkeypatch.delenv("JTX_ORACLE_CAP", raising=False)
         monkeypatch.setenv("COLUMNS", "80")  # argparse wraps to the terminal width
         good = ["gap", "x.json", "--u", "", "--v", "0"]
         expected = [_fresh_process(failing, tmp_path), _fresh_process(good, tmp_path)]
@@ -870,6 +838,5 @@ class TestParserReuse:
         commands = golden_mod._commands
         monkeypatch.setattr(golden_mod, "VECTORS", dict(reversed(golden_mod.VECTORS.items())))
         monkeypatch.setattr(golden_mod, "_commands", lambda *a: commands(*a)[::-1])
-        monkeypatch.delenv("JTX_ORACLE_CAP", raising=False)
         golden = json.loads(golden_mod.GOLDEN.read_text(encoding="utf-8"))
         assert golden_mod.documents() == golden

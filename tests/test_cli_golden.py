@@ -122,8 +122,7 @@ def documents() -> dict:
     return out
 
 
-def test_cli_documents_match_golden(monkeypatch):
-    monkeypatch.delenv("JTX_ORACLE_CAP", raising=False)
+def test_cli_documents_match_golden():
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     current = documents()
     assert sorted(current) == sorted(golden)
@@ -134,5 +133,4 @@ def test_cli_documents_match_golden(monkeypatch):
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: PYTHONPATH=src python3 tests/test_cli_golden.py --write")
-    os.environ.pop("JTX_ORACLE_CAP", None)
     GOLDEN.write_text(json.dumps(documents(), indent=1, sort_keys=True) + "\n", encoding="utf-8")
