@@ -13,7 +13,6 @@ greedy_partition both walk it.
 from __future__ import annotations
 
 import sys
-from bisect import bisect_left
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -64,7 +63,7 @@ def parse_rational(value: RationalLike) -> Fraction:
     raise InputError(f"cannot parse rational from {type(value).__name__}")
 
 
-def format_rational(q: Fraction) -> str:
+def format_rational(q: Fraction | int) -> str:
     """"p" or "p/q"; a value past the interpreter's integer-to-text limit is an InputError."""
     try:
         return str(q)
@@ -260,17 +259,10 @@ class SupportTree:
     def s_at(self, a: Node) -> Fraction:
         """The largest S over the support nodes in the wedge at a; 0 if none.
 
-        S strictly decreases down every chain of a positive vector, so the
-        maximum sits on a minimal support node of the wedge. The first
-        support path at or after a in sorted order is one when it has a as
-        a prefix: the wedge's paths follow a contiguously, ancestors first.
-        The others share its parent in the forest (or are roots with it);
-        when a is in the support, it is the only one.
+        One pass over the support paths with a as a prefix. S strictly
+        decreases down every chain of a positive vector, so the maximum
+        sits on a minimal support node of the wedge; when a is in the
+        support, it is S(a).
         """
-        f, a = self._forest, a.path
-        i = bisect_left(f.order, a)
-        if i == len(f.order) or not f.order[i].startswith(a):
-            return Fraction(0)
-        above = f.up.get(f.order[i])
-        heads = f.roots if above is None else f.kids[above]
-        return Fraction(max(self._s[h] for h in heads if h.startswith(a)), self._den)
+        a = a.path
+        return Fraction(max((s for p, s in self._s.items() if p.startswith(a)), default=0), self._den)

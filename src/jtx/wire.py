@@ -10,12 +10,12 @@ only a Partition, a set, is sorted here.
 from __future__ import annotations
 
 import json
-import sys
+from collections import Counter
 from fractions import Fraction
 from math import isqrt
 from typing import Any, IO
 
-from .errors import InputError, _shown
+from .errors import InputError, InvalidPartitionError, _shown
 from .extremality import EqualSumsReport, ExtremeCertificate, SeparationReport
 from .greedy import GreedyTrace, GreedyViolation
 from .norm import NormResult, Partition
@@ -107,7 +107,13 @@ def partition_to_doc(p: Partition) -> dict:
 def partition_from_doc(doc: Any, max_depth: int = DEFAULT_MAX_DEPTH) -> Partition:
     if not isinstance(doc, dict) or not isinstance(doc.get("segments"), list):
         raise InputError('partition document must be {"segments": [...]}')
-    return Partition(frozenset(segment_from_doc(d, max_depth) for d in doc["segments"]))
+    segments = [segment_from_doc(d, max_depth) for d in doc["segments"]]
+    repeated = [s for s, k in Counter(segments).items() if k > 1]
+    if repeated:
+        # a set would merge the copies; a segment overlaps its own copy
+        shown = _shown(repr(min(repeated, key=Segment.sort_key)))
+        raise InvalidPartitionError(f"segments overlap: {shown} and {shown}")
+    return Partition(frozenset(segments))
 
 
 def load_partition(stream: IO[str], max_depth: int = DEFAULT_MAX_DEPTH) -> Partition:
@@ -128,7 +134,8 @@ def sqrt_decimal(q: Fraction, digits: int = DEFAULT_DIGITS) -> str:
 
     Correctly rounded to nearest; the only possible ties are rational
     square roots landing exactly on a half-ulp, which round up. Uses
-    integer arithmetic throughout.
+    integer arithmetic throughout, and writes both parts out through
+    format_rational.
     """
     if q < 0:
         raise InputError("sqrt_decimal requires a nonnegative rational")
@@ -138,15 +145,9 @@ def sqrt_decimal(q: Fraction, digits: int = DEFAULT_DIGITS) -> str:
     # the unique n with (2n-1)^2 r <= 4*scaled < (2n+1)^2 r, since
     # m = isqrt(4*scaled // r) = floor(sqrt(4*scaled / r)) has 2n-1 <= m < 2n+1
     n = (isqrt(4 * scaled // r) + 1) // 2
-    try:
-        if digits == 0:
-            return str(n)
-        whole, frac = divmod(n, 10 ** digits)
-        return f"{whole}.{frac:0{digits}d}"
-    except ValueError:
-        raise InputError(
-            f"a result has more than {sys.get_int_max_str_digits()} digits to write out"
-        ) from None
+    whole, frac = divmod(n, 10 ** digits)
+    text = format_rational(whole)
+    return f"{text}.{format_rational(frac).zfill(digits)}" if digits else text
 
 
 # -- result documents ------------------------------------------------------

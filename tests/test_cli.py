@@ -28,7 +28,13 @@ Claims:
       non-ASCII digits, as vector values do
     - norm reads the vector from stdin for "-" and gives the document it
       gives for the same file, the error document for bytes that are not
-      UTF-8 included, whatever text layer stdin has
+      UTF-8 included, whatever text layer stdin has, in a fresh process
+      under LC_ALL=C and PYTHONIOENCODING=latin-1 too
+    - a partition file that lists a segment twice exits 3 with the
+      overlap message, for consistent and for dot
+    - CI's fresh-process checks on mixed denominators (norm and its
+      oracle) and on long stretches (extreme and separated) hold in a
+      new interpreter
     - dot --partition overlays the partition file's segments
     - witness answers vanishes_on_all_norming iff |ran(x)| is within the
       oracle cap, and null past it
@@ -479,6 +485,21 @@ class TestErrors:
         error = json.loads(err)["error"]
         assert error["type"] == "InputError" and error["message"].startswith(message)
 
+    @pytest.mark.parametrize("command", [["consistent"], ["dot", "--out", "o.gv"]])
+    def test_repeated_segment_is_an_overlap(self, vec_file, tmp_path, capsys, command, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        part = tmp_path / "repeated.json"
+        part.write_text(json.dumps({"segments": [
+            {"top": "", "bottom": "00"}, {"top": "", "bottom": "00"}, {"top": "01", "bottom": "01"},
+        ]}))
+        code, out, err = _run(capsys, [command[0], vec_file, *command[1:], "--partition", str(part)])
+        assert (code, out) == (3, "")
+        assert json.loads(err)["error"] == {
+            "type": "InvalidPartitionError",
+            "message": "segments overlap: Segment('', '00') and Segment('', '00')",
+        }
+        assert not (tmp_path / "o.gv").exists()
+
     def test_non_utf8_vector_file(self, tmp_path, capsys):
         path = tmp_path / "x.json"
         path.write_bytes(b'{"vector": {"": "1\xff"}}')
@@ -782,15 +803,57 @@ class TestReadme:
             assert _run(capsys, shlex.split(command)[1:]) == (0, expected, ""), command
 
 
-def _fresh_process(argv: list[str], cwd: Path) -> tuple[int, str, str]:
-    """Exit code, stdout and stderr of `jtx argv` in a new interpreter."""
+def _fresh_process(
+    argv: list[str], cwd: Path, stdin: bytes = b"", env: dict[str, str] | None = None
+) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of `jtx argv` in a new interpreter,
+    fed the stdin bytes, with env added to the environment."""
     src = str(Path(cli_mod.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": src}
     done = subprocess.run(
         [sys.executable, "-m", "jtx.cli", *argv],
-        cwd=cwd, env=env, capture_output=True, text=True, check=False,
+        cwd=cwd, env={**os.environ, **(env or {}), "PYTHONPATH": src},
+        input=stdin, capture_output=True, check=False,
     )
-    return done.returncode, done.stdout, done.stderr
+    return done.returncode, done.stdout.decode(), done.stderr.decode()
+
+
+MIXED = {"vector": {
+    "": "1/7", "00": "1/2", "000": "1/3", "01": "1/9", "1": "7/12", "10": "1/5", "11": "1/4",
+}}
+STRETCHES = {"vector": {
+    "0": "2", "01111111111111111111111111111": "1", "1": "1", "100000000000000000000000000000": "-1",
+}}
+
+
+class TestFreshProcess:
+    """The console checks of CI's fresh-process step, each in a new interpreter."""
+
+    @pytest.mark.parametrize("env", [{"LC_ALL": "C"}, {"PYTHONIOENCODING": "latin-1"}],
+                             ids=["c-locale", "latin-1"])
+    def test_non_utf8_stdin(self, tmp_path, env):
+        code, out, err = _fresh_process(["norm", "-"], tmp_path, b'{"x": "\xff", "vector": {"": "1"}}', env)
+        assert (code, out) == (2, "")
+        error = json.loads(err)["error"]
+        assert error["type"] == "InputError"
+        assert error["message"].startswith("input is not UTF-8 text: ")
+
+    def test_mixed_denominators_norm_and_oracle(self, tmp_path):
+        (tmp_path / "mixed.json").write_text(json.dumps(MIXED))
+        code, out, _ = _fresh_process(["norm", "mixed.json"], tmp_path)
+        assert code == 0
+        doc = json.loads(out)
+        assert '"norm_sq": "337313/198450",' in out
+        assert {"top": "", "bottom": "000"} in doc["witness"]["segments"]
+        code, out, _ = _fresh_process(["norm", "mixed.json", "--oracle"], tmp_path)
+        assert code == 0
+        assert json.loads(out)["oracle_norm_sq"] == doc["norm_sq"] == "337313/198450"
+
+    def test_stretches_not_extreme_nor_separated(self, tmp_path):
+        (tmp_path / "stretches.json").write_text(json.dumps(STRETCHES))
+        code, out, _ = _fresh_process(["extreme", "stretches.json"], tmp_path)
+        assert (code, json.loads(out)["verdict"]) == (0, "not-extreme")
+        code, out, _ = _fresh_process(["separated", "stretches.json"], tmp_path)
+        assert (code, json.loads(out)["separated"]) == (0, False)
 
 
 class TestParserReuse:

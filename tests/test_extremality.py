@@ -29,6 +29,11 @@ Claims:
       of the isolation report and of the certificate's basis, compared
       in the solver's scaled integers, equal the Fraction comparison on
       mixed denominators
+    - sibling_balance (keys, order and values) and sigma equal the
+      maximal segment sums of SupportTree.s_at at both children of every
+      support node with support below it, and the largest branch sum of
+      a minimal support node (hypothesis positives with long stretches,
+      several components, ties of S and mixed denominators)
     - positive separated vectors have balanced sibling sums; their
       branch sums agree when supp = ran, but not in general: a
       separated, extreme vector with unequal branch sums is pinned
@@ -72,6 +77,7 @@ from jtx import (
     NormSolver,
     PositivityError,
     SeparationReport,
+    SupportTree,
     TreeVector,
     all_isolatable_implies_l2,
     certify_extreme,
@@ -739,6 +745,46 @@ class TestEqualSums:
         assert sums[Node("01")] == Fraction(7, 4)
         assert sums[Node("10")] == 1
         assert certify_extreme(x).verdict == "extreme"
+
+
+@st.composite
+def mixed_positives(draw) -> TreeVector:
+    """Positive values over mixed denominators on forests, sparse chains
+    to depth 120 and full trees; small numerators make ties of S common."""
+    paths = draw(support_paths(max_chain=120))
+    value = st.builds(Fraction, st.integers(1, 4), st.sampled_from([1, 2, 3, 6]))
+    return TreeVector.from_dict({p: draw(value) for p in paths}, max_depth=120)
+
+
+class TestEqualSumsReferee:
+    """sibling_balance and sigma, read off the branch sums, equal the
+    formulas on SupportTree that they replaced."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(mixed_positives())
+    @example(TreeVector.zero())
+    @example(TRIPOD)
+    @example(full_tree_vector(4))
+    @example(TreeVector.from_dict({"": 1, "00": "1/2", "01": "3/4", "11": "3/4"}))
+    @example(
+        TreeVector.from_dict(
+            {"": "1/2", "0" * 40: "1/3", "1" * 30 + "0": "1/6", "1" * 30 + "1": "1/6", "1" * 45: "1/3"},
+            max_depth=120,
+        )
+    )
+    def test_balance_and_sigma_match_support_tree(self, x):
+        report = equal_sums_report(x)
+        st_ = SupportTree(x)
+        balance = {
+            n: (st_.s_at(n.child(0)), st_.s_at(n.child(1)))
+            for n in st_.nodes
+            if st_.children[n]
+        }
+        assert list(report.sibling_balance.items()) == list(balance.items())
+        sigma = max((max(report.branch_sums[m].values()) for m in st_.roots), default=Fraction(0))
+        assert report.sigma == sigma
+        assert all(type(v) is Fraction for pair in report.sibling_balance.values() for v in pair)
+        assert type(report.sigma) is Fraction
 
 
 def _in_canonical_order(keys) -> bool:

@@ -14,8 +14,13 @@ Claims:
     - a vector document with a node key that is not a string, and a
       partition or segment document of the wrong shape, raise InputError;
       a long key is echoed cut short
+    - a partition document that lists a segment twice raises
+      InvalidPartitionError, the overlap it is, naming the first repeated
+      segment in canonical order, cut short when long, before any other
+      overlap is checked
     - format_rational and sqrt_decimal raise InputError on values past
-      the interpreter's limit on integer text
+      the interpreter's limit on integer text, with one message: a long
+      fractional part of sqrt_decimal included
 """
 
 from __future__ import annotations
@@ -122,6 +127,33 @@ class TestPartitionDocs:
         }
         with pytest.raises(InvalidPartitionError):
             load_partition(io.StringIO(json.dumps(doc)))
+
+    def test_repeated_segment_rejected(self):
+        doc = {
+            "segments": [
+                {"top": "", "bottom": "00"},
+                {"top": "", "bottom": "00"},
+                {"top": "01", "bottom": "01"},
+            ]
+        }
+        with pytest.raises(InvalidPartitionError) as exc:
+            load_partition(io.StringIO(json.dumps(doc)))
+        assert str(exc.value) == "segments overlap: Segment('', '00') and Segment('', '00')"
+
+    def test_repeat_named_first_in_canonical_order_before_overlaps(self):
+        ends = [("1", "11"), ("0", "0"), ("", "0"), ("0", "00"), ("1", "11"), ("0", "0")]
+        doc = {"segments": [{"top": t, "bottom": b} for t, b in ends]}
+        with pytest.raises(InvalidPartitionError) as exc:
+            partition_from_doc(doc)
+        assert str(exc.value) == "segments overlap: Segment('0', '0') and Segment('0', '0')"
+
+    def test_long_repeated_segment_is_cut_short(self):
+        seg = {"top": "", "bottom": "01" * 150}
+        with pytest.raises(InvalidPartitionError) as exc:
+            partition_from_doc({"segments": [seg, seg]}, max_depth=300)
+        message = str(exc.value)
+        assert message.startswith("segments overlap: Segment('', '0101")
+        assert message.count("... (315 characters)") == 2 and len(message) < 1000
 
     @pytest.mark.parametrize("doc, kind", [
         ([], "partition"),
@@ -267,6 +299,20 @@ class TestDigitLimit:
         for digits in (0, 3):
             with pytest.raises(InputError):
                 sqrt_decimal(Fraction(10**9000), digits)
+
+    def test_sqrt_decimal_fractional_part(self):
+        """A fractional part past the limit gets format_rational's error,
+        though the whole part is short."""
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            with pytest.raises(InputError) as ref:
+                format_rational(Fraction(10**999))
+            with pytest.raises(InputError) as exc:
+                sqrt_decimal(Fraction(2), 1000)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert str(exc.value) == str(ref.value) == "a result has more than 640 digits to write out"
 
 
 class TestNormResultDoc:
