@@ -9,19 +9,23 @@ document to stderr, except a bad flag, which gets argparse's plain-text
 usage message and exit 2. Both echo a long value, node key, flag value
 or file path cut short.
 
-Input bounds (exit 2 beyond them): --digits lies in 0..1000, vector
+A command accepts only the flags it reads: --digits belongs to norm,
+and the oracle cap (--oracle-cap, default 13) to norm, enumerate-norming
+and witness. Passed to any other command, either is argparse's usage
+error, as an unknown flag is.
+
+Input bounds (exit 2 beyond them): norm --digits lies in 0..1000, vector
 values are integers, fractions or plain decimals (exponent forms such
 as "1e50" are rejected), and every output value must fit the
-interpreter's limit on the digits of integer text. The oracle cap
-(--oracle-cap, default 13) is an integer of at least 0; only the
-commands that read it (norm --oracle, enumerate-norming, witness)
-check it. The flag is its only source, so a document depends only on
-the arguments and the input files. The integer flags reject "_" and
-non-ASCII characters, as vector values do. An input file, or a vector
-read from stdin, is UTF-8 text whatever the locale, no JSON object in
-it may repeat a key, its nesting stays within the interpreter's
-recursion limit, a bare integer in it obeys the same digit limit, and a
-partition segment's top and bottom are strings.
+interpreter's limit on the digits of integer text. The oracle cap is an
+integer of at least 0, checked where it is read (norm --oracle,
+enumerate-norming, witness). The flag is its only source, so a document
+depends only on the arguments and the input files. The integer flags
+reject "_" and non-ASCII characters, as vector values do. An input
+file, or a vector read from stdin, is UTF-8 text whatever the locale, no
+JSON object in it may repeat a key, its nesting stays within the
+interpreter's recursion limit, a bare integer in it obeys the same digit
+limit, and a partition segment's top and bottom are strings.
 
 The argument parser is built once per process, on the first main()
 call, and reused by every later call: it holds no per-call state, since
@@ -83,23 +87,25 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_)
         p.add_argument("vector", help="vector JSON file, or - for stdin")
         p.add_argument("--out", help="write the output document here instead of stdout")
-        p.add_argument(
-            "--digits",
-            type=_int_flag,
-            default=wire.DEFAULT_DIGITS,
-            help="fractional digits for decimal norm renderings (0 to %d)"
-            % wire.MAX_DIGITS,
-        )
+        return p
+
+    def cap_flag(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--oracle-cap",
             type=_int_flag,
             default=ORACLE_NODE_CAP,
             help="max |ran(x)| for exhaustive enumeration (default %d)" % ORACLE_NODE_CAP,
         )
-        return p
 
     p = cmd("norm", "squared JT norm with a maximizing partition")
     p.add_argument("--oracle", action="store_true", help="cross-check against the brute-force oracle")
+    p.add_argument(
+        "--digits",
+        type=_int_flag,
+        default=wire.DEFAULT_DIGITS,
+        help="fractional digits for decimal norm renderings (0 to %d)" % wire.MAX_DIGITS,
+    )
+    cap_flag(p)
 
     p = cmd("gap", "separation gap of a node pair")
     p.add_argument("--u", required=True, help="first node (bit string, root = '')")
@@ -117,12 +123,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--partition", required=True, help="partition JSON file")
 
     cmd("equal-sums", "equal sums report for a positive vector")
-    cmd("enumerate-norming", "all norming partitions (oracle-sized vectors)")
+    cap_flag(cmd("enumerate-norming", "all norming partitions (oracle-sized vectors)"))
     cmd("isolatable", "per-node isolation check and l2 comparison")
 
     p = cmd("witness", "perturbation witness for an inseparable parent-child pair")
     p.add_argument("--u", required=True)
     p.add_argument("--v", required=True)
+    cap_flag(p)
 
     p = cmd("dot", "DOT graph of ran(x) with a partition overlay")
     p.add_argument("--partition", help="overlay this partition file instead of the computed witness")
@@ -147,7 +154,6 @@ def _resolve_cap(args: argparse.Namespace) -> int:
 
 
 def _run(args: argparse.Namespace) -> dict:
-    wire.check_digits(args.digits)
     if args.vector == "-":  # stdin's bytes when it has them, so they too must be UTF-8
         x = wire.load_vector(getattr(sys.stdin, "buffer", sys.stdin))
     else:
@@ -155,11 +161,10 @@ def _run(args: argparse.Namespace) -> dict:
             x = wire.load_vector(fh)
 
     if args.command == "norm":
-        cap = _resolve_cap(args) if args.oracle else None
         res = jt_norm_sq(x)
         doc = wire.norm_result_doc(res, args.digits)
         if args.oracle:
-            check = oracle_norm_sq(x, cap)
+            check = oracle_norm_sq(x, _resolve_cap(args))
             doc["oracle_norm_sq"] = format_rational(check)
             if check != res.norm_sq:
                 # jt_norm_sq walks a positive vector and runs the DP on any other

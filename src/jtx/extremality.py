@@ -51,7 +51,7 @@ from fractions import Fraction
 from typing import Iterator, Optional
 
 from .errors import DomainError, InternalError, _shown
-from .norm import NormSolver, enumerate_norming
+from .norm import ORACLE_NODE_CAP, NormSolver, enumerate_norming
 from .tree import Node, _forest, _skeleton, _stretches, canonical_order, comparable_pairs
 from .vector import TreeVector
 
@@ -230,7 +230,7 @@ def certify_extreme(x: TreeVector) -> ExtremeCertificate:
 
 
 def vanishes_on_all_norming(
-    x: TreeVector, y: TreeVector, cap: int | None = None
+    x: TreeVector, y: TreeVector, cap: int = ORACLE_NODE_CAP
 ) -> bool:
     """True iff y sums to zero on every segment of every norming partition of x."""
     for partition in enumerate_norming(x, cap):

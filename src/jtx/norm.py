@@ -137,7 +137,15 @@ class Partition:
 
     @classmethod
     def of(cls, *segments: Segment) -> Partition:
-        return cls(frozenset(segments))
+        """The partition of these segments; one listed twice overlaps its
+        own copy, which a set would merge, and the first such in canonical
+        order is reported."""
+        ordered = sorted(segments, key=Segment.sort_key)
+        for a, b in zip(ordered, ordered[1:]):
+            if a == b:
+                shown = _shown(repr(a))
+                raise InvalidPartitionError(f"segments overlap: {shown} and {shown}")
+        return cls(frozenset(ordered))
 
     @classmethod
     def _of(cls, segments: frozenset[Segment]) -> Partition:
@@ -728,11 +736,10 @@ def gap(x: TreeVector, u: Node, v: Node) -> Fraction:
 # -- brute-force oracle ------------------------------------------------------
 
 
-def _check_cap(x: TreeVector, cap: int | None) -> None:
-    limit = ORACLE_NODE_CAP if cap is None else cap
+def _check_cap(x: TreeVector, cap: int) -> None:
     n = len(x.range())
-    if n > limit:
-        raise CapError(f"|ran(x)| = {n} exceeds the oracle node cap {limit}")
+    if n > cap:
+        raise CapError(f"|ran(x)| = {n} exceeds the oracle node cap {cap}")
 
 
 def canonical_segments(x: TreeVector) -> list[Segment]:
@@ -794,7 +801,7 @@ def _norming_families(segs: list[Segment], sums: list[int]) -> tuple[int, list[t
     return best, found
 
 
-def oracle_norm_sq(x: TreeVector, cap: int | None = None) -> Fraction:
+def oracle_norm_sq(x: TreeVector, cap: int = ORACLE_NODE_CAP) -> Fraction:
     """Exhaustive maximum over all canonical families; no DP shortcuts."""
     _check_cap(x, cap)
     segs = canonical_segments(x)
@@ -803,7 +810,7 @@ def oracle_norm_sq(x: TreeVector, cap: int | None = None) -> Fraction:
     return Fraction(best, den * den)
 
 
-def enumerate_norming(x: TreeVector, cap: int | None = None) -> set[Partition]:
+def enumerate_norming(x: TreeVector, cap: int = ORACLE_NODE_CAP) -> set[Partition]:
     """All canonical partitions whose score equals the squared norm."""
     _check_cap(x, cap)
     segs = canonical_segments(x)

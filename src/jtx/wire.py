@@ -10,12 +10,11 @@ only a Partition, a set, is sorted here.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from fractions import Fraction
 from math import isqrt
 from typing import Any, IO
 
-from .errors import InputError, InvalidPartitionError, _shown
+from .errors import InputError, _shown
 from .extremality import EqualSumsReport, ExtremeCertificate, SeparationReport
 from .greedy import GreedyTrace, GreedyViolation
 from .norm import NormResult, Partition
@@ -107,13 +106,7 @@ def partition_to_doc(p: Partition) -> dict:
 def partition_from_doc(doc: Any, max_depth: int = DEFAULT_MAX_DEPTH) -> Partition:
     if not isinstance(doc, dict) or not isinstance(doc.get("segments"), list):
         raise InputError('partition document must be {"segments": [...]}')
-    segments = [segment_from_doc(d, max_depth) for d in doc["segments"]]
-    repeated = [s for s, k in Counter(segments).items() if k > 1]
-    if repeated:
-        # a set would merge the copies; a segment overlaps its own copy
-        shown = _shown(repr(min(repeated, key=Segment.sort_key)))
-        raise InvalidPartitionError(f"segments overlap: {shown} and {shown}")
-    return Partition(frozenset(segments))
+    return Partition.of(*(segment_from_doc(d, max_depth) for d in doc["segments"]))
 
 
 def load_partition(stream: IO[str], max_depth: int = DEFAULT_MAX_DEPTH) -> Partition:
@@ -121,12 +114,6 @@ def load_partition(stream: IO[str], max_depth: int = DEFAULT_MAX_DEPTH) -> Parti
 
 
 # -- decimal rendering ----------------------------------------------------
-
-
-def check_digits(digits: int) -> None:
-    """Reject digit counts outside 0..MAX_DIGITS."""
-    if not 0 <= digits <= MAX_DIGITS:
-        raise InputError(f"digits must be between 0 and {MAX_DIGITS}, got {_shown(str(digits))}")
 
 
 def sqrt_decimal(q: Fraction, digits: int = DEFAULT_DIGITS) -> str:
@@ -139,7 +126,8 @@ def sqrt_decimal(q: Fraction, digits: int = DEFAULT_DIGITS) -> str:
     """
     if q < 0:
         raise InputError("sqrt_decimal requires a nonnegative rational")
-    check_digits(digits)
+    if not 0 <= digits <= MAX_DIGITS:
+        raise InputError(f"digits must be between 0 and {MAX_DIGITS}, got {_shown(str(digits))}")
     p, r = q.numerator, q.denominator
     scaled = p * 10 ** (2 * digits)
     # the unique n with (2n-1)^2 r <= 4*scaled < (2n+1)^2 r, since

@@ -4,12 +4,18 @@ Claims:
     - every command emits one JSON document with the documented fields
     - output bytes are identical across repeated runs
     - exit codes: 0 ok, 2 parse, 3 precondition, 4 cap, 5 internal
+    - each command accepts only the flags it reads: --digits norm alone,
+      --oracle-cap norm, enumerate-norming and witness alone; any other
+      command refuses either with argparse's usage error (exit 2)
     - --oracle-cap alone sets the enumeration cap, 13 by default; a cap
-      below 0 exits 2 in the commands that read it and is ignored by the
-      others, and its error echoes a long cap cut short; JTX_ORACLE_CAP,
-      whatever its value, changes no command's exit code or output
-    - --digits accepts 0..1000 and vector values reject exponent forms,
-      "_" and non-ASCII characters, each with exit 2, as do a key repeated
+      below 0 exits 2 where it is read (norm --oracle, enumerate-norming,
+      witness), and its error echoes a long cap cut short;
+      JTX_ORACLE_CAP, whatever its value, changes no command's exit code
+      or output
+    - norm --digits accepts 0..1000, with or without --oracle, and a
+      vector file that cannot be read is reported before a --digits out
+      of range; vector values reject exponent forms, "_" and non-ASCII
+      characters, each with exit 2, as do a key repeated
       in a vector or partition file, a partition segment end that is not
       a string, a vector or partition file that is not UTF-8, a bare
       integer past the interpreter's 4,300-digit limit on integer text
@@ -583,7 +589,7 @@ class TestErrors:
     @pytest.mark.parametrize("env", ["2", "-1", "abc", "x" * 5000], ids=["2", "-1", "abc", "long"])
     def test_bad_cap_ignored_where_unread(self, vec_file, capsys, monkeypatch, env):
         """No command reads JTX_ORACLE_CAP; only norm --oracle, enumerate-norming
-        and witness read --oracle-cap."""
+        and witness read --oracle-cap, and gap does not accept it."""
         gap = ["gap", vec_file, "--u", "", "--v", "0"]
         reading = [
             ["norm", vec_file, "--oracle"],
@@ -597,7 +603,10 @@ class TestErrors:
         assert [_run(capsys, argv) for argv in reading] == without
         for argv in (gap, ["norm", vec_file], ["separated", vec_file], ["extreme", vec_file]):
             assert _run(capsys, argv)[0] == 0, argv
-        assert _run(capsys, [*gap, "--oracle-cap", "-1"])[0] == 0
+        with pytest.raises(SystemExit) as exc:
+            main([*gap, "--oracle-cap", "-1"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith("error: unrecognized arguments: --oracle-cap -1\n")
 
     @pytest.mark.parametrize("argv", [
         ["norm", "{vec}", "--oracle"],
@@ -623,13 +632,52 @@ class TestErrors:
         assert decimal.startswith("2")
         assert len(decimal) == (1 if digits == "0" else 1002)
 
-    @pytest.mark.parametrize("command", [["norm"], ["gap", "--u", "", "--v", "0"]])
+    @pytest.mark.parametrize("command", [["norm"], ["norm", "--oracle"]])
     @pytest.mark.parametrize("digits", ["-1", "1001"])
     def test_digits_out_of_bounds(self, vec_file, capsys, command, digits):
         argv = [command[0], vec_file, *command[1:], "--digits", digits]
         code, out, err = _run(capsys, argv)
         assert code == 2 and out == ""
         assert json.loads(err)["error"]["type"] == "InputError"
+
+    def test_unreadable_file_before_digits(self, tmp_path, capsys):
+        """The vector is read before the decimal is written, so its error comes first."""
+        missing = tmp_path / "missing.json"
+        code, out, err = _run(capsys, ["norm", str(missing), "--digits", "1001"])
+        assert (code, out) == (2, "")
+        error = json.loads(err)["error"]
+        assert error["type"] == "InputError"
+        assert error["message"].startswith(f"cannot read {missing}: ")
+
+    @pytest.mark.parametrize("command", [
+        "norm", "gap", "separated", "extreme", "greedy", "consistent",
+        "equal-sums", "enumerate-norming", "isolatable", "witness", "dot",
+    ])
+    def test_flags_accepted_only_where_read(self, vec_file, tmp_path, capsys, command):
+        """--digits belongs to norm, --oracle-cap to norm, enumerate-norming and
+        witness; at their default values they change no output there, and any
+        other command refuses them with argparse's usage error."""
+        part = tmp_path / "p.json"
+        part.write_text(json.dumps({"segments": [{"top": "", "bottom": "00"}]}))
+        extra = {
+            "gap": ["--u", "", "--v", "0"],
+            "witness": ["--u", "", "--v", "0"],
+            "consistent": ["--partition", str(part)],
+            "dot": ["--out", str(tmp_path / "g.gv")],
+        }
+        argv = [command, vec_file, *extra.get(command, [])]
+        readers = {"--digits": {"norm"}, "--oracle-cap": {"norm", "enumerate-norming", "witness"}}
+        plain = _run(capsys, argv)
+        assert plain[0] == 0
+        for flag, value in [("--digits", "12"), ("--oracle-cap", "13")]:
+            if command in readers[flag]:
+                assert _run(capsys, [*argv, flag, value]) == plain, flag
+                continue
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, flag, value])
+            captured = capsys.readouterr()
+            assert (exc.value.code, captured.out) == (2, ""), flag
+            assert captured.err.endswith(f"error: unrecognized arguments: {flag} {value}\n")
 
     def test_digits_message(self, vec_file, capsys):
         code, _, err = _run(capsys, ["norm", vec_file, "--digits", "1001"])

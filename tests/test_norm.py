@@ -7,7 +7,11 @@ Claims:
       same-top families), and its message equals the nearest-top dict
       scan's, which names the first offender in canonical order, also
       with tops more than 500 levels deep (compared uncut too)
-    - the DP equals the brute-force oracle on every tested instance
+    - Partition.of rejects a segment listed twice with the overlap
+      message, naming the first repeated one in canonical order
+    - the DP equals the brute-force oracle on every tested instance;
+      without a cap, the oracle and the enumeration search a 13-node
+      range and refuse a 14-node one
     - the oracle's search finds the best score and every family that
       ties it, each once and in lexicographic order of index tuples,
       as every subset of canonical segments with pairwise disjoint
@@ -270,6 +274,14 @@ class TestPartitionValidation:
                 assert _raises_invalid(family) == expected, family
                 outcomes.add(expected)
         assert outcomes == {True, False}
+
+    def test_of_rejects_a_repeated_segment(self):
+        """A set would merge the copies; a segment overlaps its own copy, and
+        the first repeated one in canonical order is named."""
+        a, b = Segment(Node("1"), Node("10")), Segment(Node(""), Node("00"))
+        with pytest.raises(InvalidPartitionError) as exc:
+            Partition.of(a, b, a, b)
+        assert str(exc.value) == "segments overlap: Segment('', '00') and Segment('', '00')"
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(segment_families())
@@ -690,6 +702,17 @@ class TestOracle:
         with pytest.raises(CapError):
             oracle_norm_sq(x)
         assert oracle_norm_sq(x, cap=15) == jt_norm_sq(x).norm_sq
+
+    def test_default_cap_is_13(self):
+        """Without a cap, a 13-node range is searched and a 14-node one refused."""
+        x = TreeVector.from_dict({"": 1, "0" * 12: 1})
+        assert oracle_norm_sq(x) == 4
+        assert enumerate_norming(x) == {Partition.of(Segment(Node(""), Node("0" * 12)))}
+        x = TreeVector.from_dict({"": 1, "0" * 13: 1})
+        for search in (oracle_norm_sq, enumerate_norming):
+            with pytest.raises(CapError) as exc:
+                search(x)
+            assert str(exc.value) == "|ran(x)| = 14 exceeds the oracle node cap 13"
 
     def test_dp_matches_oracle_randomly(self):
         rng = random.Random(22)
